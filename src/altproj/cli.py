@@ -132,11 +132,15 @@ def _cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
+            data = json.load(handle, parse_constant=_reject_constant)
+    except ValueError as exc:  # also json.JSONDecodeError
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = map_driver.config_from_dict(data)
@@ -190,8 +194,7 @@ def _cmd_export_sets(args) -> int:
     if 2 * pairs + 1 > args.horizon:
         raise ValueError(f"pairs={pairs} runs into the truncation edge for "
                          f"horizon={args.horizon}")
-    config = map_driver.MapConfig(sets.set_a, sets.set_b, sets.report.points()[0],
-                                  max_iter=pairs, stop_step=args.stop_step)
+    config = counterexample.make_config(sets, pairs, args.stop_step)
     with _open_out(args.out) as out:
         out.write(render_json(map_driver.config_to_dict(config)) + "\n")
     return EXIT_OK

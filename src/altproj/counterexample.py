@@ -10,6 +10,10 @@ settle and their cluster set fills the whole circle as the horizon grows.
 The sets here are finite truncations, so runs must stay clear of the
 truncation edge; `run_corollary` enforces a two-index stop margin and
 verifies the predicted trace index-exactly.
+
+Successive step sizes differ by less than the default tie tolerance from
+iterate ~31 600 on, which would make the predecessor a tie of the successor;
+runs therefore use `tie_tolerance`, a tenth of the smallest such difference.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import map_driver, sequence
-from .euclid import Ball, PointCloud, ProjectorSpec, Sphere, Union
+from .euclid import DEFAULT_TIE_TOL, Ball, PointCloud, ProjectorSpec, Sphere, Union
 from .map_driver import MapConfig, MapTrace
 
 VARIANT_SPHERE = "sphere"
@@ -33,8 +37,10 @@ __all__ = [
     "VARIANT_DISK",
     "VARIANT_SPHERE",
     "build",
+    "make_config",
     "max_safe_pairs",
     "run_corollary",
+    "tie_tolerance",
 ]
 
 
@@ -85,6 +91,23 @@ def max_safe_pairs(horizon: int) -> int:
     return (int(horizon) - 1) // 2
 
 
+def tie_tolerance(sets: CounterexampleSets) -> float:
+    """A tie tolerance that keeps the successor apart from the predecessor.
+
+    A query at iterate k sees iterate k + 1 at eps[k] and iterate k - 1 at
+    eps[k - 1]; the tolerance is a tenth of the smallest such gap over the
+    horizon, never above `DEFAULT_TIE_TOL`.
+    """
+    gaps = -np.diff(sets.report.epss()[:sets.horizon])
+    return min(DEFAULT_TIE_TOL, 0.1 * float(gaps.min()))
+
+
+def make_config(sets: CounterexampleSets, n_pairs: int, stop_step: float) -> MapConfig:
+    """The MAP config that walks `n_pairs` pairs from the first iterate."""
+    return MapConfig(sets.set_a, sets.set_b, sets.report.points()[0], max_iter=n_pairs,
+                     stop_step=stop_step, tie_tol=tie_tolerance(sets))
+
+
 def run_corollary(sets: CounterexampleSets, n_pairs: int,
                   stop_step: float = 0.0) -> MapTrace:
     """Run `n_pairs` alternating projections from the first iterate and verify
@@ -103,9 +126,7 @@ def run_corollary(sets: CounterexampleSets, n_pairs: int,
             f"horizon={sets.horizon}"
         )
     pts = sets.report.points()
-    config = MapConfig(sets.set_a, sets.set_b, pts[0],
-                       max_iter=n_pairs, stop_step=stop_step)
-    trace = map_driver.run(config)
+    trace = map_driver.run(make_config(sets, n_pairs, stop_step))
     for n in range(len(trace.a)):
         if not np.array_equal(trace.a[n], pts[2 * n]):
             raise CorollaryViolated(n, "A")

@@ -7,7 +7,9 @@ membership, distance, and the full set of nearest points.
 
 Projection is genuinely set-valued: `project` returns every minimizer whose
 distance is within `tie_tol` of the optimum, and flags multivaluedness
-instead of silently picking a representative.  The one deliberately fatal
+instead of silently picking a representative.  Every query is one pass over
+the set; point clouds answer it through a lazily built leaf index that
+returns exactly what a full scan would.  The one deliberately fatal
 case is projecting the center of a sphere, where the minimizer set is the
 whole sphere: that raises `DegenerateProjection`.
 
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,8 +36,14 @@ DEFAULT_TIE_TOL = 1e-9
 #: Membership tests accept points within this distance of the set.
 MEMBERSHIP_TOL = 1e-9
 
+#: Points per leaf bucket of a point cloud's index.
+LEAF_SIZE = 64
+
 _CENTER_TOL = 1e-12
 _UNIT_TOL = 1e-12
+# Leaf bounds are shrunk by a few ulps so that rounding in the bound can
+# never prune a leaf holding a point at or below the pruning threshold.
+_BOUND_SLACK = 1.0 - 8.0 * np.finfo(np.float64).eps
 
 __all__ = [
     "Ball",
@@ -42,6 +52,7 @@ __all__ = [
     "DegenerateProjection",
     "DimensionMismatch",
     "Halfspace",
+    "LEAF_SIZE",
     "MEMBERSHIP_TOL",
     "PointCloud",
     "ProjectionResult",
@@ -91,15 +102,13 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _radial_candidate(center: np.ndarray, radius: float, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distance from `q` to the center, and the radial boundary point toward `q`.
+def _radial_point(center: np.ndarray, radius: float, diff: np.ndarray, d: float) -> np.ndarray:
+    """The boundary point at `radius` from `center` toward `center + diff`.
 
     Shared by Sphere and Ball so the two produce bitwise-identical projections
     for exterior queries.
     """
-    diff = q - center
-    d = _norm(diff)
-    return d, center + (radius / d) * diff
+    return center + (radius / d) * diff
 
 
 def _dedupe(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -126,6 +135,26 @@ class ProjectionResult:
     margin: float
 
 
+class _Hit(NamedTuple):
+    """The outcome of one projection pass over a set.
+
+    `candidates` is None when the minimizer set is a continuum (a sphere
+    queried at its center).  `band` holds the distance of every discrete
+    alternative within `distance + tie_tol`, and `beyond` the smallest one
+    past that band (+inf when none), so a union takes its margin from the
+    same pass that found its candidates.
+    """
+
+    distance: float
+    candidates: Optional[list]
+    band: Sequence[float]
+    beyond: float
+
+
+def _single(candidate: np.ndarray, dist: float) -> _Hit:
+    return _Hit(dist, [candidate], (dist,), math.inf)
+
+
 class ProjectorSpec:
     """A closed subset of Euclidean space supporting exact projection queries."""
 
@@ -139,28 +168,34 @@ class ProjectorSpec:
 
     def distance(self, q) -> float:
         """Infimum distance from `q` to the set (exact closed form)."""
-        return self._distance_impl(self._check_query(q))
+        return self._nearest(self._check_query(q), DEFAULT_TIE_TOL).distance
 
-    def project(self, q, tie_tol: float = DEFAULT_TIE_TOL) -> ProjectionResult:
-        """All nearest points of the set to `q`, gathered within `tie_tol`."""
-        t = float(tie_tol)
-        if not (t > 0.0):
-            raise ValueError(f"tie_tol must be positive, got {tie_tol!r}")
-        return self._project_impl(self._check_query(q), t)
+    def project(self, q, tie_tol: float = DEFAULT_TIE_TOL, *,
+                validate: bool = True) -> ProjectionResult:
+        """All nearest points of the set to `q`, gathered within `tie_tol`.
+
+        `validate=False` skips the checks on `q` and `tie_tol`: the caller
+        guarantees a finite float64 point of the set's dimension and a finite
+        positive tolerance, as the MAP driver does for its own iterates.
+        """
+        if validate:
+            tie_tol = float(tie_tol)
+            if not (0.0 < tie_tol < math.inf):
+                raise ValueError(f"tie_tol must be finite and positive, got {tie_tol!r}")
+            q = self._check_query(q)
+        hit = self._nearest(q, tie_tol)
+        if hit.candidates is None:
+            raise DegenerateProjection(
+                "projection of the sphere center: the minimizer set is the whole sphere"
+            )
+        return ProjectionResult(hit.candidates, hit.distance, len(hit.candidates) > 1,
+                                hit.beyond - hit.distance)
 
     def contains(self, q, tol: float = MEMBERSHIP_TOL) -> bool:
         """Membership within `tol`."""
         return self.distance(q) <= tol
 
-    # Distances to every discrete alternative the set offers (all points of a
-    # cloud, single value otherwise); unions concatenate.  Used for margins.
-    def _alternatives(self, q: np.ndarray) -> np.ndarray:
-        return np.array([self._distance_impl(q)])
-
-    def _distance_impl(self, q: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _project_impl(self, q: np.ndarray, tie_tol: float) -> ProjectionResult:
+    def _nearest(self, q: np.ndarray, tie_tol: float) -> _Hit:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -168,10 +203,6 @@ class ProjectorSpec:
 
     def to_json(self) -> str:
         return spec_to_json(self)
-
-
-def _single(candidate: np.ndarray, dist: float) -> ProjectionResult:
-    return ProjectionResult([candidate], dist, False, math.inf)
 
 
 @dataclass(eq=False)
@@ -186,16 +217,13 @@ class Sphere(ProjectorSpec):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         self.dim = self.center.size
 
-    def _distance_impl(self, q):
-        return abs(_norm(q - self.center) - self.radius)
-
-    def _project_impl(self, q, tie_tol):
-        if _norm(q - self.center) <= _CENTER_TOL:
-            raise DegenerateProjection(
-                "projection of the sphere center: the minimizer set is the whole sphere"
-            )
-        d, cand = _radial_candidate(self.center, self.radius, q)
-        return _single(cand, abs(d - self.radius))
+    def _nearest(self, q, tie_tol):
+        diff = q - self.center
+        d = _norm(diff)
+        dist = abs(d - self.radius)
+        if d <= _CENTER_TOL:
+            return _Hit(dist, None, (dist,), math.inf)
+        return _single(_radial_point(self.center, self.radius, diff, d), dist)
 
     def to_dict(self):
         return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius}
@@ -213,15 +241,12 @@ class Ball(ProjectorSpec):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         self.dim = self.center.size
 
-    def _distance_impl(self, q):
-        return max(0.0, _norm(q - self.center) - self.radius)
-
-    def _project_impl(self, q, tie_tol):
-        d = _norm(q - self.center)
+    def _nearest(self, q, tie_tol):
+        diff = q - self.center
+        d = _norm(diff)
         if d <= self.radius:
             return _single(q.copy(), 0.0)
-        d, cand = _radial_candidate(self.center, self.radius, q)
-        return _single(cand, d - self.radius)
+        return _single(_radial_point(self.center, self.radius, diff, d), d - self.radius)
 
     def to_dict(self):
         return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -241,10 +266,7 @@ class Box(ProjectorSpec):
             raise ValueError("box must satisfy lo <= hi componentwise")
         self.dim = self.lo.size
 
-    def _distance_impl(self, q):
-        return _norm(q - np.clip(q, self.lo, self.hi))
-
-    def _project_impl(self, q, tie_tol):
+    def _nearest(self, q, tie_tol):
         cand = np.clip(q, self.lo, self.hi)
         return _single(cand, _norm(q - cand))
 
@@ -266,10 +288,7 @@ class Halfspace(ProjectorSpec):
             raise ValueError("halfspace normal must have unit norm (within 1e-12)")
         self.dim = self.normal.size
 
-    def _distance_impl(self, q):
-        return max(0.0, float(np.dot(self.normal, q)) - self.offset)
-
-    def _project_impl(self, q, tie_tol):
+    def _nearest(self, q, tie_tol):
         s = float(np.dot(self.normal, q)) - self.offset
         if s <= 0.0:
             return _single(q.copy(), 0.0)
@@ -300,15 +319,95 @@ class Segment(ProjectorSpec):
         t = min(1.0, max(0.0, t))
         return self.a + t * ab
 
-    def _distance_impl(self, q):
-        return _norm(q - self._closest(q))
-
-    def _project_impl(self, q, tie_tol):
+    def _nearest(self, q, tie_tol):
         cand = self._closest(q)
         return _single(cand, _norm(q - cand))
 
     def to_dict(self):
         return {"type": "segment", "a": self.a.tolist(), "b": self.b.tolist()}
+
+
+def _dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distances from `q` to each row of `points`, the brute-force expression."""
+    return np.sqrt(((points - q) ** 2).sum(axis=1))
+
+
+def _median_order(points: np.ndarray, ids: np.ndarray, leaves: int, width: int) -> np.ndarray:
+    """`ids` reordered so that consecutive runs of `width` form the leaves.
+
+    Each split sorts along the widest coordinate and cuts at the leaf
+    boundary nearest the median, so every leaf but the last is full.
+    """
+    if leaves == 1:
+        return ids
+    sub = points[ids]
+    axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
+    ids = ids[np.argsort(sub[:, axis], kind="stable")]
+    left = leaves // 2
+    cut = left * width
+    return np.concatenate([_median_order(points, ids[:cut], left, width),
+                           _median_order(points, ids[cut:], leaves - left, width)])
+
+
+class _CloudIndex:
+    """A static k-d style index of a point cloud (Bentley, CACM 1975).
+
+    Points are split at the median into leaf buckets of `LEAF_SIZE`, stored
+    permuted and contiguous as `(L, width, d)`, with per-leaf bounding boxes
+    `lo`/`hi`.  The boxes are kept transposed, `(d, L)`, because the bound
+    pass then works on contiguous rows, about twice as fast as on `(L, d)`.
+    The last bucket is topped up with repeats of its final point, which
+    change no minimum and no margin, and whose repeated index is dropped
+    from the candidates.  A cloud of at most one leaf is a single bucket in
+    its original order.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n, _ = points.shape
+        width = min(n, LEAF_SIZE)
+        leaves = -(-n // width)
+        order = _median_order(points, np.arange(n), leaves, width)
+        ids = np.concatenate([order, np.repeat(order[-1], leaves * width - n)])
+        self.ids = ids.reshape(leaves, width)
+        self.points = points[ids].reshape(leaves, width, -1)
+        self.lo = np.ascontiguousarray(self.points.min(axis=1).T)
+        self.hi = np.ascontiguousarray(self.points.max(axis=1).T)
+
+    def search(self, q: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and original indices of the points in every leaf visited.
+
+        Every leaf's box bound comes from one vectorised pass.  The leaf with
+        the smallest bound is visited first; then every unvisited leaf whose
+        bound does not exceed the smallest distance found beyond the tie band,
+        until no such leaf is left.  Each point left out is farther than that
+        distance, so the visited points hold the minimum, all of its ties and
+        the first alternative past them.
+        """
+        col = q[:, None]
+        gap = self.lo - col
+        np.maximum(gap, col - self.hi, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        bound = np.sqrt(gap.sum(axis=0))
+        bound *= _BOUND_SLACK
+        first = int(bound.argmin())
+        bound[first] = math.inf
+        dists = _dists(self.points[first], q)
+        ids = self.ids[first]
+        while True:
+            past = dists[dists > dists.min() + tie_tol]
+            if past.size:
+                take = np.flatnonzero(bound <= past.min())
+                if not take.size:
+                    break
+            else:  # nothing beyond the band yet: the next leaf must be seen
+                take = bound.argmin(keepdims=True)
+                if bound[take[0]] == math.inf:
+                    break
+            bound[take] = math.inf
+            dists = np.concatenate([dists, _dists(self.points[take].reshape(-1, q.size), q)])
+            ids = np.concatenate([ids, self.ids[take].ravel()])
+        return dists, ids
 
 
 @dataclass(eq=False)
@@ -319,23 +418,19 @@ class PointCloud(ProjectorSpec):
         self.points = _as_cloud(self.points)
         self.dim = self.points.shape[1]
 
-    def _dists(self, q):
-        return np.sqrt(((self.points - q) ** 2).sum(axis=1))
+    @cached_property
+    def _index(self) -> _CloudIndex:
+        # Built on the first query, so loading or exporting a cloud costs nothing.
+        return _CloudIndex(self.points)
 
-    def _alternatives(self, q):
-        return self._dists(q)
-
-    def _distance_impl(self, q):
-        return float(self._dists(q).min())
-
-    def _project_impl(self, q, tie_tol):
-        dists = self._dists(q)
+    def _nearest(self, q, tie_tol):
+        dists, ids = self._index.search(q, tie_tol)
         dmin = float(dists.min())
         mask = dists <= dmin + tie_tol
-        cands = _dedupe([self.points[i].copy() for i in np.flatnonzero(mask)], tie_tol)
+        cands = _dedupe([self.points[i].copy() for i in sorted(set(ids[mask].tolist()))],
+                        tie_tol)
         rest = dists[~mask]
-        margin = float(rest.min()) - dmin if rest.size else math.inf
-        return ProjectionResult(cands, dmin, len(cands) > 1, margin)
+        return _Hit(dmin, cands, dists[mask], float(rest.min()) if rest.size else math.inf)
 
     def to_dict(self):
         return {"type": "points", "coords": self.points.tolist()}
@@ -354,24 +449,27 @@ class Union(ProjectorSpec):
             raise ValueError(f"union members must share a dimension, got {sorted(dims)}")
         self.dim = self.members[0].dim
 
-    def _alternatives(self, q):
-        return np.concatenate([m._alternatives(q) for m in self.members])
-
-    def _distance_impl(self, q):
-        return min(m._distance_impl(q) for m in self.members)
-
-    def _project_impl(self, q, tie_tol):
-        dists = [m._distance_impl(q) for m in self.members]
-        dmin = min(dists)
+    def _nearest(self, q, tie_tol):
+        hits = [m._nearest(q, tie_tol) for m in self.members]
+        dmin = min(h.distance for h in hits)
+        edge = dmin + tie_tol
         cands: list[np.ndarray] = []
-        for m, d in zip(self.members, dists):
-            if d <= dmin + tie_tol:
-                cands.extend(m._project_impl(q, tie_tol).candidates)
-        cands = _dedupe(cands, tie_tol)
-        alts = self._alternatives(q)
-        rest = alts[alts > dmin + tie_tol]
-        margin = float(rest.min()) - dmin if rest.size else math.inf
-        return ProjectionResult(cands, dmin, len(cands) > 1, margin)
+        continuum = False
+        band: list[float] = []
+        beyond = math.inf
+        for h in hits:
+            if h.distance <= edge:
+                if h.candidates is None:
+                    continuum = True
+                else:
+                    cands.extend(h.candidates)
+            for d in h.band:
+                if d <= edge:
+                    band.append(d)
+                elif d < beyond:
+                    beyond = float(d)
+            beyond = min(beyond, h.beyond)
+        return _Hit(dmin, None if continuum else _dedupe(cands, tie_tol), band, beyond)
 
     def to_dict(self):
         return {"type": "union", "members": [m.to_dict() for m in self.members]}

@@ -7,24 +7,28 @@ and any multivalued projection events.  The verdict classifies the run:
 * converged_to_point -- both latest step norms fell below `stop_step` and
   the last few iterates coincide to 10x that tolerance;
 * continuum_suspected -- steps became small (below 1000x `stop_step`) yet
-  the tail iterates stay spread out (beyond 100x `stop_step`).  This is a
-  diagnostic heuristic, not a theorem: no finite run can prove a continuum;
+  the tail iterates stay spread out (beyond 100x `stop_step`).  Planar tails
+  also report their angular spread.  This is a diagnostic heuristic, not a
+  theorem: no finite run can prove a continuum;
 * budget_exhausted -- anything else at the iteration cap.
 
-Runs are deterministic: identical configs produce bitwise-identical traces.
+Both projections gather candidates within the config's `tie_tol`.  Runs are
+deterministic: identical configs produce bitwise-identical traces.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import euclid
-from .euclid import DegenerateProjection, ProjectorSpec
+from .euclid import DEFAULT_TIE_TOL, DegenerateProjection, ProjectorSpec
 from .serialize import render_json
 
 log = logging.getLogger(__name__)
@@ -76,6 +80,30 @@ class ProjectionTie(RuntimeError):
         self.count = count
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _finite(name: str, value) -> float:
+    """`value` as a finite float; bools and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(eq=False)
 class MapConfig:
     set_a: ProjectorSpec
@@ -84,6 +112,7 @@ class MapConfig:
     max_iter: int = 1000
     stop_step: float = 1e-12
     tie_policy: str = TIE_LOWEST_INDEX
+    tie_tol: float = DEFAULT_TIE_TOL
 
     def __post_init__(self):
         self.start = euclid.as_point(self.start)
@@ -92,14 +121,17 @@ class MapConfig:
                 f"dimension mismatch: A is {self.set_a.dim}-d, B is {self.set_b.dim}-d, "
                 f"start is {self.start.size}-d"
             )
-        self.max_iter = int(self.max_iter)
+        self.max_iter = _integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        self.stop_step = float(self.stop_step)
+        self.stop_step = _finite("stop_step", self.stop_step)
         if self.stop_step < 0.0:
             raise ValueError(f"stop_step must be >= 0, got {self.stop_step}")
         if self.tie_policy not in _TIE_POLICIES:
             raise ValueError(f"tie_policy must be one of {_TIE_POLICIES}, got {self.tie_policy!r}")
+        self.tie_tol = _finite("tie_tol", self.tie_tol)
+        if not (self.tie_tol > 0.0):
+            raise ValueError(f"tie_tol must be > 0, got {self.tie_tol}")
 
 
 @dataclass(eq=False)
@@ -131,9 +163,12 @@ def _select(result, which: str, iteration: int, policy: str, events: list) -> np
     return result.candidates[0]
 
 
-def _project(spec: ProjectorSpec, point: np.ndarray, which: str, iteration: int):
+def _project(spec: ProjectorSpec, point: np.ndarray, tie_tol: float, which: str,
+             iteration: int):
+    # The config checked dimensions, finiteness and tie_tol once, and every
+    # later query point is a projection, so the per-query checks are skipped.
     try:
-        return spec.project(point)
+        return spec.project(point, tie_tol, validate=False)
     except DegenerateProjection as exc:
         raise DegenerateProjection(f"set {which}, iteration {iteration}: {exc}") from exc
 
@@ -153,12 +188,12 @@ def run(config: MapConfig) -> MapTrace:
     stop = config.stop_step
     stopped = False
     for n in range(config.max_iter):
-        a = _select(_project(config.set_a, b_prev, "A", n), "A", n,
+        a = _select(_project(config.set_a, b_prev, config.tie_tol, "A", n), "A", n,
                     config.tie_policy, trace.multivalued_events)
         d_in = float(np.linalg.norm(a - b_prev))
         if n >= 1:
             trace.step_ba.append(d_in)
-        b = _select(_project(config.set_b, a, "B", n), "B", n,
+        b = _select(_project(config.set_b, a, config.tie_tol, "B", n), "B", n,
                     config.tie_policy, trace.multivalued_events)
         d_ab = float(np.linalg.norm(b - a))
         trace.step_ab.append(d_ab)
@@ -186,11 +221,14 @@ def _classify(trace: MapTrace, stop: float, stopped: bool) -> Verdict:
         tail_pts = trace.a[-min(CONTINUUM_TAIL, iters):]
         if small and _max_pairwise(tail_pts) > stop * CONTINUUM_SPREAD_FACTOR:
             radii = np.array([float(np.linalg.norm(p)) for p in tail_pts])
-            angles = np.array([math.atan2(p[1], p[0]) for p in tail_pts])
+            spread = None
+            if tail_pts[0].size == 2:  # angles describe planar tails only
+                angles = np.array([math.atan2(p[1], p[0]) for p in tail_pts])
+                spread = 2.0 * math.pi - max_circular_gap(angles)
             return Verdict(
                 VERDICT_CONTINUUM, iters,
                 ring_radius_estimate=float(radii.mean()),
-                angular_spread=2.0 * math.pi - max_circular_gap(angles),
+                angular_spread=spread,
             )
     return Verdict(VERDICT_BUDGET, iters)
 
@@ -241,6 +279,7 @@ def config_to_dict(config: MapConfig) -> dict:
         "max_iter": config.max_iter,
         "stop_step": config.stop_step,
         "tie_policy": config.tie_policy,
+        "tie_tol": config.tie_tol,
     }
 
 
@@ -251,7 +290,7 @@ def config_from_dict(data) -> MapConfig:
     for name in ("A", "B", "start"):
         if name not in data:
             raise ValueError(f"config.{name}: missing field")
-    known = {"A", "B", "start", "max_iter", "stop_step", "tie_policy"}
+    known = {"A", "B", "start", "max_iter", "stop_step", "tie_policy", "tie_tol"}
     extra = set(data) - known
     if extra:
         raise ValueError(f"config: unknown fields {sorted(extra)}")
@@ -267,6 +306,7 @@ def config_from_dict(data) -> MapConfig:
             max_iter=data.get("max_iter", 1000),
             stop_step=data.get("stop_step", 1e-12),
             tie_policy=data.get("tie_policy", TIE_LOWEST_INDEX),
+            tie_tol=data.get("tie_tol", DEFAULT_TIE_TOL),
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config: {exc}") from exc

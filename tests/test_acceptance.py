@@ -106,9 +106,9 @@ def test_c07_cluster_set_surrogate(report_10k, report_100k, sphere_trace_2000):
         for n, a in enumerate(sphere_trace_2000.a):
             gap = abs(float(np.linalg.norm(a)) - 1.0)
             assert abs(gap - math.exp(-alphas[2 * n])) <= 1e-12
-        # an actual full-horizon run at 1e4 reproduces the predicted a-iterates
-        # bitwise, so its gap statistic equals the prediction exactly; the
-        # 1e5-horizon gap is then computed from the predicted iterates
+        # actual full-horizon runs at 1e4 and 1e5 reproduce the predicted
+        # a-iterates bitwise (run_corollary checks every index), so their gap
+        # statistics equal the predictions exactly
         pairs_10k = counterexample.max_safe_pairs(10_000)
         trace_10k = run_corollary(build(10_000, VARIANT_SPHERE, report_10k), pairs_10k)
         actual_gap_10k = cluster_diagnostics(trace_10k, tail=len(trace_10k.a)).angular_gap_max
@@ -116,6 +116,12 @@ def test_c07_cluster_set_surrogate(report_10k, report_100k, sphere_trace_2000):
         assert actual_gap_10k == predicted_gap_10k
         gap_100k = max_circular_gap(_even_iterate_angles(report_100k, 100_000))
         assert gap_100k < predicted_gap_10k
+        pairs_100k = counterexample.max_safe_pairs(100_000)
+        trace_100k = run_corollary(build(100_000, VARIANT_SPHERE, report_100k), pairs_100k)
+        assert len(trace_100k.a) == pairs_100k == 49_999
+        assert trace_100k.multivalued_events == []
+        actual_gap_100k = cluster_diagnostics(trace_100k, tail=pairs_100k).angular_gap_max
+        assert actual_gap_100k == gap_100k
 
 
 def test_c08_figure_reproduction(tmp_path):

@@ -1,6 +1,8 @@
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from altproj import sequence
 from altproj.cli import (
     EXIT_CHECK_FAILED,
@@ -136,6 +138,49 @@ def test_run_bad_schema(tmp_path):
     assert main(["run", "--config", str(config), "--trace-out", "-"]) == EXIT_USAGE
 
 
+def test_run_one_dimensional_config(tmp_path, capsys):
+    # a 1-D tail has no angles: the continuum verdict carries no angular spread
+    config = tmp_path / "line.json"
+    config.write_text(json.dumps({
+        "A": {"type": "points", "coords": [[0.0], [0.6]]},
+        "B": {"type": "points", "coords": [[0.3], [0.9]]},
+        "start": [0.9],
+        "stop_step": 1e-3,
+        "max_iter": 20,
+    }))
+    trace_out = tmp_path / "trace.json"
+    assert main(["run", "--config", str(config), "--trace-out", str(trace_out)]) == EXIT_OK
+    assert "angular_spread" not in capsys.readouterr().out
+    verdict = json.loads(trace_out.read_text())["verdict"]
+    assert verdict["iterations_used"] == 20
+    assert "angular_spread" not in verdict
+
+
+_STRICT_CASES = {
+    "nan-constant": '"stop_step": NaN',
+    "infinity-constant": '"stop_step": Infinity',
+    "overflowing-stop-step": '"stop_step": 1e999',
+    "fractional-max-iter": '"max_iter": 2.9',
+    "bool-max-iter": '"max_iter": true',
+    "bool-stop-step": '"stop_step": false',
+    "zero-tie-tol": '"tie_tol": 0.0',
+    "overflowing-tie-tol": '"tie_tol": 1e999',
+    "string-tie-tol": '"tie_tol": "1e-9"',
+}
+
+
+@pytest.mark.parametrize("field", list(_STRICT_CASES.values()), ids=list(_STRICT_CASES))
+def test_run_rejects_non_strict_numbers(tmp_path, capsys, field):
+    config = tmp_path / "strict.json"
+    config.write_text('{"A": {"type": "box", "min": [0.0], "max": [1.0]}, '
+                      '"B": {"type": "box", "min": [1.0], "max": [2.0]}, '
+                      '"start": [3.0], ' + field + "}")
+    assert main(["run", "--config", str(config), "--trace-out", "-"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_run_degenerate_projection(tmp_path):
     config = tmp_path / "degenerate.json"
     config.write_text(json.dumps({
@@ -192,6 +237,7 @@ def test_export_sets_then_run(tmp_path, capsys):
     assert obj["A"]["type"] == "union"
     assert obj["start"] == [2.0, 0.0]
     assert obj["max_iter"] == 999
+    assert obj["tie_tol"] == 1e-9  # successive step gaps stay above 1e-8 here
     capsys.readouterr()
     trace_out = tmp_path / "trace.json"
     assert main(["run", "--config", str(config), "--trace-out", str(trace_out)]) == EXIT_OK

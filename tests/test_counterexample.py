@@ -12,8 +12,9 @@ from altproj.counterexample import (
     build,
     max_safe_pairs,
     run_corollary,
+    tie_tolerance,
 )
-from altproj.euclid import Ball, PointCloud, Sphere, Union
+from altproj.euclid import DEFAULT_TIE_TOL, Ball, PointCloud, Sphere, Union
 from altproj.map_driver import MapConfig
 
 
@@ -57,6 +58,25 @@ def test_run_corollary_reproduces_sequence(report_300):
         np.testing.assert_array_equal(trace.a[n], pts[2 * n])
         np.testing.assert_array_equal(trace.b[n], pts[2 * n + 1])
     assert trace.multivalued_events == []
+
+
+def test_tie_tolerance_separates_successor_from_predecessor(report_100k):
+    # Past iterate ~31 600, successive step sizes differ by less than the
+    # default tie tolerance.  At pair 15 818 the query a = x_31636 sees x_31635
+    # and x_31637 in B within 1e-9 of each other, and the lowest index would
+    # pick the predecessor.
+    sets = build(40_000, report=report_100k)
+    pts = report_100k.points()
+    q = pts[31636]
+    tied = sets.set_b.project(q)
+    assert tied.multivalued
+    np.testing.assert_array_equal(tied.candidates[0], pts[31635])
+    tol = tie_tolerance(sets)
+    assert 0.0 < tol < DEFAULT_TIE_TOL
+    res = sets.set_b.project(q, tol)
+    assert not res.multivalued
+    np.testing.assert_array_equal(res.candidates[0], pts[31637])
+    assert tie_tolerance(build(300, report=report_100k)) == DEFAULT_TIE_TOL
 
 
 def test_run_corollary_respects_truncation_margin(report_300):

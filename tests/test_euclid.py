@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from altproj import euclid, sequence
 from altproj.euclid import (
+    LEAF_SIZE,
     Ball,
     Box,
     DegenerateProjection,
@@ -136,6 +137,8 @@ def test_invalid_specs_rejected():
         as_point([1.0, math.nan])
     with pytest.raises(ValueError):
         project(Sphere(O2, 1.0), [2.0, 0.0], tie_tol=0.0)
+    with pytest.raises(ValueError):
+        project(Sphere(O2, 1.0), [2.0, 0.0], tie_tol=math.inf)
 
 
 def test_nearest_in_cloud_basic():
@@ -298,3 +301,105 @@ def test_spec_from_dict_errors_carry_paths():
         ]})
     with pytest.raises(ValueError, match="unknown fields"):
         spec_from_dict({"type": "ball", "center": [0, 0], "radius": 1.0, "extra": 1})
+
+
+def _oracle_dedupe(points, tol):
+    kept = []
+    for p in points:
+        if all(float(np.linalg.norm(p - k)) > tol for k in kept):
+            kept.append(p)
+    return kept
+
+
+def _oracle(members, q, tol):
+    """Brute-force projection onto a union of point clouds and spheres.
+
+    Scans every point; a member is a minimizer when its distance is within
+    `tol` of the union's, and the margin is taken over every alternative.
+    """
+    hits = []
+    for m in members:
+        if isinstance(m, PointCloud):
+            d = np.sqrt(((m.points - q) ** 2).sum(axis=1))
+            dmin = float(d.min())
+            cands = [m.points[i] for i in range(len(d)) if d[i] <= dmin + tol]
+            hits.append((dmin, _oracle_dedupe(cands, tol), d))
+        else:
+            diff = q - m.center
+            r = float(np.linalg.norm(diff))
+            dist = abs(r - m.radius)
+            hits.append((dist, [m.center + (m.radius / r) * diff], np.array([dist])))
+    dmin = min(h[0] for h in hits)
+    cands = _oracle_dedupe([c for h in hits if h[0] <= dmin + tol for c in h[1]], tol)
+    alts = np.concatenate([h[2] for h in hits])
+    rest = alts[alts > dmin + tol]
+    return dmin, cands, float(rest.min()) - dmin if rest.size else math.inf
+
+
+def _assert_matches_oracle(res, expected):
+    dmin, cands, margin = expected
+    assert res.distance == dmin
+    assert len(res.candidates) == len(cands)
+    for got, want in zip(res.candidates, cands):
+        assert np.array_equal(got, want)
+    assert res.multivalued == (len(cands) > 1)
+    assert res.margin == margin
+
+
+def _cloud_layout(layout, rng, n, dim):
+    if layout == "generic":
+        return rng.normal(size=(n, dim))
+    if layout == "curve":  # leaves are well separated along a winding curve
+        t = np.cumsum(rng.uniform(0.0, 1.0, n)) / n
+        return np.stack([(1.0 + t) * np.cos(3.0 * (k + 1) * t) for k in range(dim)], axis=1)
+    if layout == "stacks":  # whole leaves of one repeated point
+        base = rng.integers(-3, 4, size=(-(-n // LEAF_SIZE), dim)) * 0.5
+        return np.repeat(base, LEAF_SIZE, axis=0)[:n]
+    # Multiples of 0.5: duplicates and exact distance ties are common.
+    return rng.integers(-3, 4, size=(n, dim)) * 0.5
+
+
+@given(dim=st.integers(1, 4), n=st.integers(1, 5 * LEAF_SIZE),
+       seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["generic", "curve", "stacks", "grid", "ring"]),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-3, 0.3]), parts=st.integers(1, 3),
+       with_sphere=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_indexed_projection_matches_brute_force(dim, n, seed, layout, tol, parts, with_sphere):
+    rng = np.random.default_rng(seed)
+    pts = _cloud_layout("grid" if layout == "ring" else layout, rng, n, dim)
+    on_grid = rng.integers(-3, 4, size=dim) * 0.5
+    if layout == "ring":  # points at one distance from `on_grid` along every axis
+        ring = on_grid + 0.5 * np.concatenate([np.eye(dim), -np.eye(dim)])
+        pts[:min(n, len(ring))] = ring[:n]
+        rng.shuffle(pts)
+    queries = [on_grid, rng.normal(size=dim),
+               pts[rng.integers(n)].copy(),  # a cloud point itself
+               pts[rng.integers(n)] + 0.05 * rng.normal(size=dim)]
+    cloud = PointCloud(pts)
+    members = [PointCloud(chunk) for chunk in np.array_split(pts, min(parts, n))]
+    if with_sphere:
+        members.append(Sphere(rng.integers(-3, 4, size=dim) * 0.5,
+                              float(rng.choice([0.5, 1.0, 2.0]))))
+    for q in queries:
+        expected = _oracle([cloud], q, tol)
+        _assert_matches_oracle(project(cloud, q, tol), expected)
+        assert distance(cloud, q) == expected[0]
+        if with_sphere and np.linalg.norm(q - members[-1].center) <= 1e-12:
+            continue  # the sphere center: covered by the degenerate test below
+        _assert_matches_oracle(project(Union(members), q, tol), _oracle(members, q, tol))
+
+
+def test_union_sphere_center_degenerate_only_among_minimizers():
+    cloud = PointCloud([[3.0, 0.0], [0.25, 0.0], [0.0, 2.0]])
+    sphere = Sphere(O2, 1.0)
+    res = project(Union([cloud, sphere]), [0.0, 0.0])
+    assert len(res.candidates) == 1
+    np.testing.assert_array_equal(res.candidates[0], [0.25, 0.0])
+    assert res.distance == 0.25
+    assert res.margin == 0.75  # the sphere, at distance 1
+    assert distance(Union([sphere, PointCloud([[3.0, 0.0]])]), [0.0, 0.0]) == 1.0
+    with pytest.raises(DegenerateProjection):
+        project(Union([PointCloud([[3.0, 0.0]]), sphere]), [0.0, 0.0])
+    with pytest.raises(DegenerateProjection):
+        project(Union([Union([sphere]), PointCloud([[3.0, 0.0]])]), [0.0, 0.0])

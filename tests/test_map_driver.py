@@ -6,6 +6,7 @@ import pytest
 
 from altproj import counterexample, map_driver
 from altproj.euclid import (
+    DEFAULT_TIE_TOL,
     Ball,
     Box,
     DegenerateProjection,
@@ -158,11 +159,46 @@ def test_config_validation():
         MapConfig(box, box, [0.5, 0.5], tie_policy="random")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 2.9), ("max_iter", True), ("max_iter", "3"),
+    ("stop_step", math.nan), ("stop_step", math.inf), ("stop_step", True),
+    ("tie_tol", 0.0), ("tie_tol", -1e-9), ("tie_tol", math.nan), ("tie_tol", math.inf),
+    ("tie_tol", True), ("tie_tol", "1e-9"),
+])
+def test_config_rejects_non_strict_numbers(field, value):
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=field):
+        MapConfig(box, box, [0.5, 0.5], **{field: value})
+
+
+def test_config_accepts_integral_numbers():
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    config = MapConfig(box, box, [0.5, 0.5], max_iter=3.0, stop_step=0, tie_tol=1e-6)
+    assert config.max_iter == 3 and isinstance(config.max_iter, int)
+    assert config.stop_step == 0.0
+    assert config.tie_tol == 1e-6
+
+
+def test_run_projects_with_config_tie_tol():
+    # the two points' distances from the start differ by about 4.5e-8
+    cloud = PointCloud([[0.0, 1.0], [0.0, -1.0000001]])
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    assert run(MapConfig(cloud, box, [2.0, 0.0], max_iter=1)).multivalued_events == []
+    loose = run(MapConfig(cloud, box, [2.0, 0.0], max_iter=1, tie_tol=1e-6))
+    assert loose.multivalued_events == [(0, "A")]
+
+
 def test_config_round_trip():
     config = MapConfig(Ball([0.0, 0.0], 1.0), Box([0.0, 0.0], [1.0, 1.0]),
                        [3.0, 0.5], max_iter=17, stop_step=1e-9)
     back = config_from_dict(config_to_dict(config))
     assert config_to_dict(back) == config_to_dict(config)
+    assert back.tie_tol == DEFAULT_TIE_TOL
+    data = config_to_dict(config)
+    del data["tie_tol"]
+    assert config_from_dict(data).tie_tol == DEFAULT_TIE_TOL
+    data["tie_tol"] = 1e-11
+    assert config_from_dict(data).tie_tol == 1e-11
 
 
 def test_config_from_dict_errors():
