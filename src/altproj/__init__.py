@@ -29,9 +29,13 @@ from .euclid import (
 )
 from .map_driver import MapConfig, MapTrace, Verdict, cluster_diagnostics, run
 from .sequence import SequenceReport, SpiralRecord, generate, verify_nearest
-from .spiral import BACKEND, BracketInvalid, alpha_chain, curve, eps, next_alpha, rho
+from .spiral import BracketInvalid, alpha_chain, curve, eps, next_alpha, rho
 
 __version__ = "0.1.0"
+
+#: Name of the step solver; there is a single pure-Python one.  Kept because
+#: benchmark reports record it.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

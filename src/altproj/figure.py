@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _pure
+from . import spiral
 from .sequence import SequenceReport
 from .serialize import fmt17
 
@@ -32,10 +32,8 @@ def render_spiral_svg(report: SequenceReport, size: int = 640) -> str:
         '<circle class="unit-circle" cx="0" cy="0" r="1" fill="none" '
         'stroke="#999999" stroke-width="0.01"/>',
     ]
-    samples = np.linspace(0.0, float(alphas[-1]), CURVE_SAMPLES)
-    coords = " ".join(
-        "{},{}".format(*(fmt17(c) for c in _pure.curve_xy(t))) for t in samples.tolist()
-    )
+    _, _, curve_pts = spiral.columns(np.linspace(0.0, float(alphas[-1]), CURVE_SAMPLES))
+    coords = " ".join(f"{fmt17(x)},{fmt17(y)}" for x, y in curve_pts.tolist())
     parts.append(
         f'<polyline class="spiral" fill="none" stroke="#222222" '
         f'stroke-width="0.012" points="{coords}"/>'

@@ -18,17 +18,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import _pure, spiral
+from . import spiral
 from .serialize import fmt17
 
 __all__ = [
     "HalfAngleResiduals",
-    "LimitSummary",
     "NearestPropertyViolated",
     "SequenceReport",
     "SpiralRecord",
     "check_halfangle_identity",
-    "check_limits",
     "generate",
     "records_to_json_obj",
     "verify_nearest",
@@ -91,7 +89,6 @@ class SequenceReport:
             self.max_identity_residual = float(np.abs(chords - epss[:-1]).max())
         else:
             self.max_identity_residual = 0.0
-        self.min_nearest_margin: Optional[float] = None
         self._records: Optional[list[SpiralRecord]] = None
 
     def __len__(self) -> int:
@@ -134,8 +131,7 @@ class SequenceReport:
         return self._points
 
 
-def generate(n_max: int, tol: float = spiral.ANGLE_TOL,
-             max_alpha: float = spiral.MAX_ALPHA) -> SequenceReport:
+def generate(n_max: int, max_alpha: float = spiral.MAX_ALPHA) -> SequenceReport:
     """Generate the first `n_max` iterates starting from angle 0 at (2, 0).
 
     Stops early (with `stopped_early` set) if an angle exceeds `max_alpha`,
@@ -144,17 +140,8 @@ def generate(n_max: int, tol: float = spiral.ANGLE_TOL,
     """
     if int(n_max) < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    alphas, stopped = spiral.alpha_chain(0.0, int(n_max), tol, max_alpha)
-    n = alphas.size
-    rhos = np.empty(n)
-    epss = np.empty(n)
-    points = np.empty((n, 2))
-    for i, a in enumerate(alphas.tolist()):
-        rhos[i] = _pure.rho(a)
-        epss[i] = _pure.eps(a)
-        x, y = _pure.curve_xy(a)
-        points[i, 0] = x
-        points[i, 1] = y
+    alphas, stopped = spiral.alpha_chain(0.0, int(n_max), max_alpha)
+    rhos, epss, points = spiral.columns(alphas)
     return SequenceReport(alphas, rhos, epss, points, stopped)
 
 
@@ -181,49 +168,6 @@ def check_halfangle_identity(report: SequenceReport) -> HalfAngleResiduals:
     return HalfAngleResiduals(float(raw), float(scaled))
 
 
-@dataclass
-class LimitSummary:
-    """Tail values after a run: step angle, step size, radius, and sphere gap."""
-
-    delta_tail: float
-    eps_tail: float
-    rho_tail: float
-    sphere_gap_tail: float
-
-
-def check_limits(report: SequenceReport) -> LimitSummary:
-    """Verify the monotone approach to the unit circle over the horizon.
-
-    Asserts: every angle increment is positive and the tail increment is the
-    smallest achieved; step sizes strictly decrease; the gap |  ||x_n|| - 1 |
-    equals exp(-alpha_n) to 1e-12 and strictly decreases.  Raises ValueError
-    on violation.  Needs at least 100 records.
-    """
-    if len(report) < 100:
-        raise ValueError(f"need at least 100 records, got {len(report)}")
-    deltas = report.deltas()
-    if not np.all(deltas > 0.0):
-        raise ValueError("angle increments must be strictly positive")
-    if float(deltas[-1]) != float(deltas.min()):
-        raise ValueError("tail angle increment is not the smallest achieved")
-    epss = report.epss()
-    if not np.all(np.diff(epss) < 0.0):
-        raise ValueError("step sizes must be strictly decreasing")
-    pts = report.points()
-    gaps = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
-    resid = np.abs(gaps - np.exp(-report.alphas())).max()
-    if resid > 1e-12:
-        raise ValueError(f"sphere gap deviates from exp(-alpha) by {resid:.3e}")
-    if not np.all(np.diff(gaps) < 0.0):
-        raise ValueError("sphere gap must be strictly decreasing")
-    return LimitSummary(
-        delta_tail=float(deltas[-1]),
-        eps_tail=float(epss[-1]),
-        rho_tail=float(report.rhos()[-1]),
-        sphere_gap_tail=float(gaps[-1]),
-    )
-
-
 def verify_nearest(report: SequenceReport, horizon: int) -> float:
     """Brute-force check of the nearest-point property up to `horizon`.
 
@@ -235,8 +179,7 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
 
     Raises NearestPropertyViolated on the first index whose nearest
     neighbour is not its successor.  O(horizon^2) by design: this is the
-    oracle other layers are checked against.  The result is also stored on
-    the report as `min_nearest_margin`.
+    oracle other layers are checked against.
     """
     if not (0 <= horizon <= len(report) - 1):
         raise ValueError(f"horizon must be in [0, {len(report) - 1}], got {horizon}")
@@ -256,7 +199,6 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
         best, runner = np.sqrt(np.partition(d2, 1)[:2])
         margin = min(float(runner), float(sphere_d[n])) - float(best)
         min_margin = min(min_margin, margin)
-    report.min_nearest_margin = min_margin
     return min_margin
 
 

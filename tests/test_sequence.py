@@ -9,7 +9,6 @@ from altproj.sequence import (
     NearestPropertyViolated,
     SequenceReport,
     check_halfangle_identity,
-    check_limits,
     generate,
     records_to_json_obj,
     verify_nearest,
@@ -97,13 +96,18 @@ def test_eps_below_threshold_once_alpha_large(report_10k):
     assert np.all(report_10k.epss()[mask] < 1e-3)
 
 
-def test_check_limits(report_300):
-    summary = check_limits(report_300)
-    assert summary.eps_tail < report_300.epss()[0]
-    assert summary.delta_tail == report_300.deltas().min()
-    assert summary.rho_tail == pytest.approx(1.0 + summary.sphere_gap_tail, abs=1e-12)
-    with pytest.raises(ValueError):
-        check_limits(generate(99))
+def test_monotone_approach_to_circle(report_300):
+    deltas = report_300.deltas()
+    assert np.all(deltas > 0.0)
+    assert deltas[-1] == deltas.min()
+    epss = report_300.epss()
+    assert np.all(np.diff(epss) < 0.0)
+    assert epss[-1] < epss[0]
+    pts = report_300.points()
+    gaps = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
+    assert np.abs(gaps - np.exp(-report_300.alphas())).max() <= 1e-12
+    assert np.all(np.diff(gaps) < 0.0)
+    assert report_300.rhos()[-1] == pytest.approx(1.0 + gaps[-1], abs=1e-12)
 
 
 def test_partial_eps_sum_grows_without_bound(report_10k):

@@ -5,18 +5,16 @@ import pytest
 
 from altproj import spiral
 from altproj.spiral import (
-    ANGLE_TOL,
     HALF_PI,
     TWO_PI,
     BracketInvalid,
-    StepBracket,
+    advance,
     alpha_chain,
     chord_sq,
     curve,
     eps,
     next_alpha,
     rho,
-    step_bracket,
 )
 
 # Angles computed independently at 60 decimal digits (bracketed root solve on
@@ -104,6 +102,15 @@ def test_curve_injective_on_samples():
     assert len(set(pts)) == len(pts)
 
 
+def test_columns_equal_scalar_functions():
+    angles = np.array([0.0, 0.3, 2.0, 11.0])
+    rhos, epss, points = spiral.columns(angles)
+    for i, a in enumerate(angles.tolist()):
+        assert rhos[i] == rho(a)
+        assert epss[i] == eps(a)
+        np.testing.assert_array_equal(points[i], curve(a))
+
+
 def test_chord_sq_zero_at_origin_and_right_angle():
     assert chord_sq(0.3, 0.0) == 0.0
     val = chord_sq(0.0, HALF_PI)
@@ -121,13 +128,13 @@ def test_next_alpha_matches_independent_oracle():
     a = 0.0
     for expected in ORACLE_ALPHAS[1:4]:
         a = next_alpha(a)
-        assert a == pytest.approx(expected, abs=5e-13)
+        assert a == pytest.approx(expected, abs=1e-15)
 
 
 def test_chain_matches_oracle_through_sixteen_steps():
     angles, stopped = alpha_chain(0.0, 17)
     assert not stopped
-    np.testing.assert_allclose(angles, ORACLE_ALPHAS, rtol=0.0, atol=2e-12)
+    np.testing.assert_allclose(angles, ORACLE_ALPHAS, rtol=0.0, atol=1e-15)
 
 
 def test_next_alpha_residuals_over_random_angles():
@@ -138,7 +145,7 @@ def test_next_alpha_residuals_over_random_angles():
         b = next_alpha(a)
         resid = abs(float(np.linalg.norm(curve(b) - curve(a))) - eps(a))
         worst = max(worst, resid)
-    assert worst <= 1e-10
+    assert worst <= 1e-14
 
 
 def test_next_alpha_step_stays_in_bracket():
@@ -172,11 +179,13 @@ def test_bracket_invalid_when_step_size_underflows():
         next_alpha(800.0)
 
 
-def test_next_alpha_validates_tolerance():
-    with pytest.raises(ValueError):
-        next_alpha(1.0, tol=0.0)
-    with pytest.raises(ValueError):
-        next_alpha(1.0, tol=-1e-3)
+@pytest.mark.parametrize("guess", [0.0, 1e-300, HALF_PI, 3.0])
+def test_advance_converges_from_any_guess(guess):
+    # 0, pi/2 and 3.0 are not strictly inside the bracket, so the solve starts
+    # from its midpoint; from 1e-300 the first Newton step lands far outside it
+    for alpha in (0.0, 1.0, 5.0, 20.0):
+        expected = next_alpha(alpha)
+        assert abs(advance(alpha, guess) - expected) <= 2 * math.ulp(expected)
 
 
 def test_alpha_chain_validates_count():
@@ -189,13 +198,3 @@ def test_alpha_chain_stops_at_max_alpha():
     assert stopped
     assert angles.size < 50
     assert angles[-1] > 1.0
-
-
-def test_step_bracket_type():
-    br = step_bracket(2.0)
-    assert br.lo == 2.0
-    assert br.hi == 2.0 + HALF_PI
-    with pytest.raises(ValueError):
-        StepBracket(1.0, 1.0)
-    with pytest.raises(ValueError):
-        StepBracket(0.0, 2.0)
