@@ -22,7 +22,6 @@ from .euclid import (
     Sphere,
     Union,
     distance,
-    nearest_in_cloud,
     project,
     spec_from_json,
     spec_to_json,
@@ -62,7 +61,6 @@ __all__ = [
     "distance",
     "eps",
     "generate",
-    "nearest_in_cloud",
     "next_alpha",
     "project",
     "rho",

@@ -31,10 +31,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-#: Default cap on the quadratic nearest-point verification.
-NEAREST_CAP = 2000
-
-
 @contextlib.contextmanager
 def _open_out(path: str):
     if path == "-":
@@ -110,7 +106,7 @@ def run_verification(report: sequence.SequenceReport,
     check("sphere-never-nearer", bool(np.all(sphere_margins > 0.0)),
           f"min margin {sphere_margins.min():.3e}")
 
-    horizon = min(NEAREST_CAP, len(report) - 1) if nearest_horizon is None else nearest_horizon
+    horizon = len(report) - 1 if nearest_horizon is None else nearest_horizon
     try:
         margin = sequence.verify_nearest(report, horizon)
         check("nearest-point", margin > 0.0,
@@ -224,8 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity and nearest-point checks")
     p.add_argument("--horizon", type=int, required=True, help="number of iterates (>= 2)")
     p.add_argument("--nearest-horizon", type=int, default=0,
-                   help=f"cap for the quadratic nearest check (default min({NEAREST_CAP}, "
-                        "horizon - 1))")
+                   help="check the nearest-point property only up to this iterate "
+                        "(default horizon - 1, every iterate)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("run", help="alternating projections from a JSON config")

@@ -62,7 +62,6 @@ __all__ = [
     "Union",
     "as_point",
     "distance",
-    "nearest_in_cloud",
     "project",
     "spec_from_dict",
     "spec_from_json",
@@ -409,6 +408,21 @@ class _CloudIndex:
             ids = np.concatenate([ids, self.ids[take].ravel()])
         return dists, ids
 
+    def leaves_within(self, leaf: int, reach: float) -> np.ndarray:
+        """Every leaf that may hold a point within `reach` of a point of `leaf`.
+
+        The box-to-box bound is shrunk like the query bound of `search`, so a
+        leaf left out holds no point within `reach` of any point of `leaf`.
+        `leaf` itself is always among the result.
+        """
+        gap = self.lo - self.hi[:, leaf, None]
+        np.maximum(gap, self.lo[:, leaf, None] - self.hi, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        bound = np.sqrt(gap.sum(axis=0))
+        bound *= _BOUND_SLACK
+        return np.flatnonzero(bound <= reach)
+
 
 @dataclass(eq=False)
 class PointCloud(ProjectorSpec):
@@ -483,35 +497,6 @@ def distance(spec: ProjectorSpec, q) -> float:
 def project(spec: ProjectorSpec, q, tie_tol: float = DEFAULT_TIE_TOL) -> ProjectionResult:
     """Set-valued projection of `q` onto the set described by `spec`."""
     return spec.project(q, tie_tol)
-
-
-def nearest_in_cloud(points, q, exclude: Optional[int] = None) -> tuple[int, float, float]:
-    """Brute-force nearest point of a cloud.
-
-    Returns (index, distance, margin) where index is the argmin with
-    lowest-index tie-break and margin is the gap to the runner-up (+inf when
-    no runner-up exists).  `exclude` drops one index from consideration.
-    """
-    pts = _as_cloud(points)
-    query = as_point(q)
-    if query.size != pts.shape[1]:
-        raise DimensionMismatch(f"query has dim {query.size}, cloud has dim {pts.shape[1]}")
-    dists = np.sqrt(((pts - query) ** 2).sum(axis=1))
-    if exclude is not None:
-        if not (0 <= exclude < pts.shape[0]):
-            raise ValueError(f"exclude index {exclude} out of range")
-        dists[exclude] = math.inf
-    best = int(np.argmin(dists))
-    best_d = float(dists[best])
-    if not math.isfinite(best_d):
-        raise ValueError("no points remain after exclusion")
-    finite = np.count_nonzero(np.isfinite(dists))
-    if finite >= 2:
-        runner = float(np.partition(dists, 1)[1])
-        margin = runner - best_d
-    else:
-        margin = math.inf
-    return best, best_d, margin
 
 
 _REQUIRED_FIELDS = {

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import spiral
+from . import euclid, spiral
 from .serialize import fmt17
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,alpha,delta,rho,eps,x,y"
+
+#: Floats in each of the two distance buffers of `verify_nearest`.
+_SCRATCH = 1 << 15
 
 
 class NearestPropertyViolated(RuntimeError):
@@ -169,7 +172,7 @@ def check_halfangle_identity(report: SequenceReport) -> HalfAngleResiduals:
 
 
 def verify_nearest(report: SequenceReport, horizon: int) -> float:
-    """Brute-force check of the nearest-point property up to `horizon`.
+    """Exact check of the nearest-point property up to `horizon`.
 
     For every n < horizon - 1, the nearest point of {x_0..x_horizon} minus
     {x_n} must be x_{n+1}; additionally the unit sphere must be strictly
@@ -177,9 +180,16 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     smallest winning margin observed: min over n of
     (min(runner-up distance, sphere distance) - winning distance).
 
-    Raises NearestPropertyViolated on the first index whose nearest
-    neighbour is not its successor.  O(horizon^2) by design: this is the
-    oracle other layers are checked against.
+    Raises NearestPropertyViolated for the smallest index whose nearest
+    neighbour (the lowest index among ties) is not its successor.
+
+    The points are indexed once by `euclid._CloudIndex` and checked one leaf
+    of queries at a time.  Query n's reach, the larger of its distances to
+    x_{n+1} and x_{n+2}, is at least its runner-up distance, so the leaves
+    within the largest reach of a query leaf hold each query's winner, all
+    of its ties and its runner-up.  Distances use the full scan's expression,
+    `((x - x_n) ** 2).sum()`, so the verdict and the margin equal those of a
+    scan over every point, bit for bit.
     """
     if not (0 <= horizon <= len(report) - 1):
         raise ValueError(f"horizon must be in [0, {len(report) - 1}], got {horizon}")
@@ -189,17 +199,46 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     sphere_d = np.exp(-alphas)
     if not np.all(sphere_d > epss):
         raise ValueError("unit sphere is not strictly farther than the successor somewhere")
-    min_margin = math.inf
-    for n in range(horizon - 1):
-        d2 = ((pts - pts[n]) ** 2).sum(axis=1)
-        d2[n] = math.inf
-        found = int(np.argmin(d2))
-        if found != n + 1:
-            raise NearestPropertyViolated(n, found)
-        best, runner = np.sqrt(np.partition(d2, 1)[:2])
-        margin = min(float(runner), float(sphere_d[n])) - float(best)
-        min_margin = min(min_margin, margin)
-    return min_margin
+    queries = horizon - 1
+    if queries < 1:
+        return math.inf
+    reach = np.sqrt(np.maximum(((pts[1:horizon] - pts[:queries]) ** 2).sum(axis=1),
+                               ((pts[2:] - pts[:queries]) ** 2).sum(axis=1)))
+    index = euclid._CloudIndex(pts)
+    # Blocks are written into two fixed buffers, always wide enough for one
+    # full row, so no per-leaf temporary grows with the block.
+    size = max(_SCRATCH, horizon + 1)
+    acc, tmp = np.empty(size), np.empty(size)
+    found = np.empty(queries, dtype=np.intp)
+    margins = np.empty(queries)
+    for leaf, ids in enumerate(index.ids):
+        qids = ids[ids < queries]
+        if not qids.size:
+            continue
+        cids = np.sort(index.ids[index.leaves_within(leaf, reach[qids].max())], axis=None)
+        cids = cids[np.concatenate(([True], cids[1:] != cids[:-1]))]  # drop the top-up repeats
+        cand = pts[cids]
+        k = cids.size
+        rows = size // k
+        for start in range(0, qids.size, rows):
+            q = qids[start:start + rows]
+            m = q.size
+            block = acc[:m * k].reshape(m, k)
+            part = tmp[:m * k].reshape(m, k)
+            np.subtract(cand[:, 0], pts[q, :1], out=block)
+            block *= block
+            np.subtract(cand[:, 1], pts[q, 1:], out=part)
+            part *= part
+            block += part  # dx^2 + dy^2: the scan's sum over the two columns
+            block[np.arange(m), np.searchsorted(cids, q)] = math.inf
+            found[q] = cids[block.argmin(axis=1)]
+            block.partition(1, axis=1)
+            margins[q] = np.minimum(np.sqrt(block[:, 1]), sphere_d[q]) - np.sqrt(block[:, 0])
+    bad = np.flatnonzero(found != np.arange(1, queries + 1))
+    if bad.size:
+        n = int(bad[0])
+        raise NearestPropertyViolated(n, int(found[n]))
+    return float(margins.min())
 
 
 def write_csv(report: SequenceReport, stream) -> None:

@@ -64,11 +64,13 @@ def test_c03_bracket_conformance(report_100k):
 
 
 def test_c04_nearest_point_property(report_10k):
-    with criterion(4, "brute-force nearest-point property at horizon 2000"):
+    with criterion(4, "exact nearest-point property at horizons 2000 and 9999"):
         margin = sequence.verify_nearest(report_10k, 2000)
         assert margin > 0.0
         sphere_margin = np.exp(-report_10k.alphas()) - report_10k.epss()
         assert np.all(sphere_margin > 0.0)
+        full = sequence.verify_nearest(report_10k, 9999)
+        assert 0.0 < full <= margin
 
 
 def test_c05_monotonicity_and_divergence(report_10k, report_100k):

@@ -6,12 +6,13 @@ benchmark run, so the suite checks them here.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 import altproj
-from altproj import cli, counterexample, finite_union  # noqa: F401  (wrap targets)
+from altproj import cli, counterexample, finite_union, sequence  # noqa: F401  (wrap targets)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -33,3 +34,9 @@ def test_wrap_point_resolves(module_name, path):
 
 def test_backend_is_a_string():
     assert isinstance(altproj.BACKEND, str)
+
+
+def test_verify_nearest_takes_the_horizon_second():
+    # the tracer reads the nearest-point horizon from the second positional argument
+    params = list(inspect.signature(sequence.verify_nearest).parameters)
+    assert params[:2] == ["report", "horizon"]

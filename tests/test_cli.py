@@ -79,6 +79,14 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_checks_every_iterate_by_default(capsys):
+    assert main(["verify", "--horizon", "3000"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    nearest = [line for line in lines if line.startswith("PASS nearest-point: ")]
+    assert len(nearest) == 1
+    assert nearest[0].endswith(" at horizon 2999")
+
+
 def test_verify_degenerate_horizon(capsys):
     assert main(["verify", "--horizon", "2"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out

@@ -20,13 +20,13 @@ from altproj.euclid import (
     Union,
     as_point,
     distance,
-    nearest_in_cloud,
     project,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
     spec_to_json,
 )
+from conftest import nearest_in_cloud
 
 O2 = np.zeros(2)
 

@@ -1,10 +1,18 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import altproj
 from altproj import map_driver, sequence, spiral
+from altproj.euclid import LEAF_SIZE
 from altproj.sequence import (
     NearestPropertyViolated,
     SequenceReport,
@@ -14,6 +22,7 @@ from altproj.sequence import (
     verify_nearest,
     write_csv,
 )
+from conftest import nearest_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,6 +159,64 @@ def test_verify_nearest_detects_corruption(report_300):
         verify_nearest(corrupt, 299)
     assert info.value.n == 4
     assert info.value.found == 50
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 10, 63, 64, 65, 129, 299, 2000, 9999])
+def test_verify_nearest_equals_scan(report_10k, horizon):
+    # the sizes straddle the 64-point leaf edges of the index
+    assert verify_nearest(report_10k, horizon) == nearest_scan(report_10k, horizon)
+
+
+def _nearest_outcome(check, report, horizon):
+    try:
+        return check(report, horizon)
+    except NearestPropertyViolated as exc:
+        return (exc.n, exc.found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_nearest_equals_scan_on_swapped_iterates(report_300, data):
+    i = data.draw(st.integers(0, 298), label="i")
+    j = data.draw(st.integers(i + 1, 299), label="j")
+    pts = report_300.points().copy()
+    pts[[i, j]] = pts[[j, i]]
+    swapped = SequenceReport(report_300.alphas().copy(), report_300.rhos().copy(),
+                             report_300.epss().copy(), pts, False)
+    assert (_nearest_outcome(verify_nearest, swapped, 299)
+            == _nearest_outcome(nearest_scan, swapped, 299))
+
+
+@pytest.mark.parametrize("edge", [LEAF_SIZE, 2 * LEAF_SIZE])
+def test_verify_nearest_finds_runner_up_across_leaf_edge(edge):
+    # Points on a line with shrinking gaps: each successor is nearest and each
+    # predecessor is the runner-up.  The smallest margin sits at `edge`, the
+    # first point of a leaf, whose predecessor lies in the previous leaf,
+    # farther than any successor distance within its own leaf.
+    gaps = 1e-2 - 1e-5 * np.arange(199)
+    gaps[edge:] += 1e-5 - 1e-9
+    pts = np.column_stack([np.concatenate(([0.0], np.cumsum(gaps))), np.zeros(200)])
+    flat = np.zeros(200)  # the unit sphere stays at distance 1
+    report = SequenceReport(flat, flat + 1.0, flat.copy(), pts, False)
+    margin = verify_nearest(report, 199)
+    assert margin == nearest_scan(report, 199)
+    assert margin < 1e-8
+
+
+def test_verify_nearest_leaves_numpy_ma_unloaded():
+    # numpy.ma costs about 1.7 MB of resident memory once imported (np.unique
+    # imports it); a fresh interpreter is needed because the test session may
+    # already hold it.
+    src = str(Path(altproj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from altproj import sequence\n"
+            "assert sequence.verify_nearest(sequence.generate(300), 299) > 0.0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_earlier_point_is_closer(report_300):
