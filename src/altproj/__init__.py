@@ -27,7 +27,7 @@ from .euclid import (
     spec_to_json,
 )
 from .map_driver import MapConfig, MapTrace, Verdict, cluster_diagnostics, run
-from .sequence import SequenceReport, SpiralRecord, generate, verify_nearest
+from .sequence import SequenceReport, generate, verify_nearest
 from .spiral import BracketInvalid, alpha_chain, curve, eps, next_alpha, rho
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "Segment",
     "SequenceReport",
     "Sphere",
-    "SpiralRecord",
     "Union",
     "Verdict",
     "alpha_chain",

@@ -83,7 +83,7 @@ def as_point(coords) -> np.ndarray:
     arr = np.array(coords, dtype=np.float64, copy=True)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"a point must be a nonempty 1-D coordinate sequence, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point coordinates must be finite")
     return arr
 
@@ -92,13 +92,14 @@ def _as_cloud(points) -> np.ndarray:
     arr = np.array(points, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"a point cloud must be a nonempty list of points, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point cloud coordinates must be finite")
     return arr
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
+    # what np.linalg.norm computes for a real 1-D vector, without its overhead
+    return math.sqrt(v.dot(v))
 
 
 def _radial_point(center: np.ndarray, radius: float, diff: np.ndarray, d: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import map_driver
-from .euclid import Ball, Box, Halfspace, PointCloud, ProjectorSpec, Union
+from .euclid import Ball, Box, Halfspace, PointCloud, ProjectorSpec, Union, _norm
 from .map_driver import VERDICT_CONVERGED, MapConfig
 from .serialize import render_json
 
@@ -78,11 +78,11 @@ def _random_member(rng: np.random.Generator, c: np.ndarray) -> ProjectorSpec:
     if kind == 1:
         radius = float(rng.uniform(0.4, 2.0))
         direction = rng.normal(size=dim)
-        direction /= np.linalg.norm(direction)
+        direction /= _norm(direction)
         shift = float(rng.uniform(0.0, 0.8)) * radius
         return Ball(c + shift * direction, radius)
     normal = rng.normal(size=dim)
-    normal /= np.linalg.norm(normal)
+    normal /= _norm(normal)
     slack = float(rng.uniform(0.05, 1.0))
     return Halfspace(normal, float(np.dot(normal, c)) + slack)
 
@@ -105,7 +105,7 @@ def generate_scenario(seed: int, dim: int = 2, members_per_side: int = 3,
     a_members = [_random_member(rng, c) for _ in range(k_a)]
     b_members = [_random_member(rng, c) for _ in range(k_b)]
     direction = rng.normal(size=dim)
-    direction /= np.linalg.norm(direction)
+    direction /= _norm(direction)
     start = c + float(rng.uniform(0.0, 10.0)) * direction
     return UnionScenario(a_members, b_members, start, int(seed), int(max_iter), c)
 
@@ -137,9 +137,9 @@ def check_theorem(scenario: UnionScenario, tol: float = DEFAULT_TOL) -> Converge
     """
     trace = map_driver.run(scenario_config(scenario, tol))
 
-    scale = max(1.0, float(np.linalg.norm(scenario.start)))
-    worst = max(max(float(np.linalg.norm(p)) for p in trace.a),
-                max(float(np.linalg.norm(p)) for p in trace.b))
+    scale = max(1.0, _norm(scenario.start))
+    worst = max(max(_norm(p) for p in trace.a),
+                max(_norm(p) for p in trace.b))
     bounded = worst <= 10.0 * scale
 
     gaps_vanished = bool(trace.step_ab and trace.step_ab[-1] < tol
@@ -154,7 +154,7 @@ def check_theorem(scenario: UnionScenario, tol: float = DEFAULT_TOL) -> Converge
         tail = [trace.a[-1], trace.b[-1]]
         if len(trace.b) >= 2:
             tail.append(trace.b[-2])
-        converged = all(float(np.linalg.norm(p - limit)) <= tol for p in tail)
+        converged = all(_norm(p - limit) <= tol for p in tail)
     if limit is not None:
         in_intersection = (
             min(m.distance(limit) for m in scenario.a_members) <= tol

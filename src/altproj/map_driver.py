@@ -177,7 +177,7 @@ def _max_pairwise(points: list[np.ndarray]) -> float:
     worst = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            worst = max(worst, float(np.linalg.norm(points[i] - points[j])))
+            worst = max(worst, euclid._norm(points[i] - points[j]))
     return worst
 
 
@@ -190,12 +190,12 @@ def run(config: MapConfig) -> MapTrace:
     for n in range(config.max_iter):
         a = _select(_project(config.set_a, b_prev, config.tie_tol, "A", n), "A", n,
                     config.tie_policy, trace.multivalued_events)
-        d_in = float(np.linalg.norm(a - b_prev))
+        d_in = euclid._norm(a - b_prev)
         if n >= 1:
             trace.step_ba.append(d_in)
         b = _select(_project(config.set_b, a, config.tie_tol, "B", n), "B", n,
                     config.tie_policy, trace.multivalued_events)
-        d_ab = float(np.linalg.norm(b - a))
+        d_ab = euclid._norm(b - a)
         trace.step_ab.append(d_ab)
         trace.a.append(a)
         trace.b.append(b)
@@ -220,7 +220,7 @@ def _classify(trace: MapTrace, stop: float, stopped: bool) -> Verdict:
                  and trace.step_ba[-1] < stop * CONTINUUM_STEP_FACTOR)
         tail_pts = trace.a[-min(CONTINUUM_TAIL, iters):]
         if small and _max_pairwise(tail_pts) > stop * CONTINUUM_SPREAD_FACTOR:
-            radii = np.array([float(np.linalg.norm(p)) for p in tail_pts])
+            radii = np.array([euclid._norm(p) for p in tail_pts])
             spread = None
             if tail_pts[0].size == 2:  # angles describe planar tails only
                 angles = np.array([math.atan2(p[1], p[0]) for p in tail_pts])

@@ -13,19 +13,17 @@ farther).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import euclid, spiral
-from .serialize import fmt17
 
 __all__ = [
     "HalfAngleResiduals",
     "NearestPropertyViolated",
     "SequenceReport",
-    "SpiralRecord",
     "check_halfangle_identity",
     "generate",
     "records_to_json_obj",
@@ -34,6 +32,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,alpha,delta,rho,eps,x,y"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_CSV_LAST_ROW = "%d,%.17g,,%.17g,%.17g,%.17g,%.17g\n"  # no successor, no delta
 
 #: Floats in each of the two distance buffers of `verify_nearest`.
 _SCRATCH = 1 << 15
@@ -48,28 +48,18 @@ class NearestPropertyViolated(RuntimeError):
         self.found = found
 
 
-@dataclass(eq=False)
-class SpiralRecord:
-    """One iterate: index, angle, radius, step size, point, and successor data.
-
-    `delta` (angle increment to the successor) and `q` (radius ratio of the
-    successor) are None on the final record.
-    """
-
-    n: int
-    alpha: float
-    rho: float
-    eps: float
-    x: np.ndarray
-    delta: Optional[float] = None
-    q: Optional[float] = None
+def _fsum(values: np.ndarray) -> float:
+    # the same values in the same order as math.fsum(values.tolist()), without
+    # a full-length list (which would set the peak memory of `generate`)
+    step = spiral.CHUNK
+    return math.fsum(chain.from_iterable(
+        values[i:i + step].tolist() for i in range(0, values.size, step)))
 
 
 class SequenceReport:
     """Immutable result of `generate`.
 
-    Exposes the summary statistics plus read-only column arrays; `records`
-    is materialized lazily.
+    Exposes the summary statistics plus read-only column arrays.
     """
 
     def __init__(self, alphas: np.ndarray, rhos: np.ndarray, epss: np.ndarray,
@@ -84,36 +74,17 @@ class SequenceReport:
                     self._deltas, self._qs):
             arr.flags.writeable = False
         self.stopped_early = stopped_early
-        self.partial_delta_sum = math.fsum(self._deltas.tolist())
-        self.partial_eps_sum = math.fsum(epss[:-1].tolist())
+        self.partial_delta_sum = _fsum(self._deltas)
+        self.partial_eps_sum = _fsum(epss[:-1])
         if len(alphas) > 1:
             chords = np.hypot(points[1:, 0] - points[:-1, 0],
                               points[1:, 1] - points[:-1, 1])
             self.max_identity_residual = float(np.abs(chords - epss[:-1]).max())
         else:
             self.max_identity_residual = 0.0
-        self._records: Optional[list[SpiralRecord]] = None
 
     def __len__(self) -> int:
         return self._alphas.size
-
-    @property
-    def records(self) -> list[SpiralRecord]:
-        if self._records is None:
-            n = len(self)
-            recs = []
-            for i in range(n):
-                recs.append(SpiralRecord(
-                    n=i,
-                    alpha=float(self._alphas[i]),
-                    rho=float(self._rhos[i]),
-                    eps=float(self._epss[i]),
-                    x=self._points[i],
-                    delta=float(self._deltas[i]) if i < n - 1 else None,
-                    q=float(self._qs[i]) if i < n - 1 else None,
-                ))
-            self._records = recs
-        return self._records
 
     def alphas(self) -> np.ndarray:
         return self._alphas
@@ -242,31 +213,43 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
 
 
 def write_csv(report: SequenceReport, stream) -> None:
-    """Write one row per record; `delta` is empty on the final row."""
+    """Write one row per iterate; `delta` is empty on the final row.
+
+    Floats get 17 significant digits, as `serialize.fmt17` renders them, and
+    a non-finite value raises ValueError.  Rows are formatted `spiral.CHUNK`
+    at a time from a small float table whose first column is the index
+    (exact as a float).
+    """
     stream.write(CSV_HEADER + "\n")
-    alphas = report.alphas()
-    deltas = report.deltas()
-    rhos = report.rhos()
-    epss = report.epss()
-    pts = report.points()
     last = len(report) - 1
-    for i in range(len(report)):
-        d = fmt17(deltas[i]) if i < last else ""
-        stream.write(f"{i},{fmt17(alphas[i])},{d},{fmt17(rhos[i])},"
-                     f"{fmt17(epss[i])},{fmt17(pts[i, 0])},{fmt17(pts[i, 1])}\n")
+    if last < 0:
+        return
+    alphas, rhos, epss, pts = report.alphas(), report.rhos(), report.epss(), report.points()
+    cols = (alphas, report.deltas(), rhos, epss, pts[:, 0], pts[:, 1])
+    table = np.empty((min(spiral.CHUNK, last), 7))
+    for start in range(0, last, spiral.CHUNK):
+        block = table[:min(spiral.CHUNK, last - start)]
+        k = len(block)
+        block[:, 0] = np.arange(start, start + k)
+        for j, col in enumerate(cols, 1):
+            block[:, j] = col[start:start + k]
+        if not np.isfinite(block).all():
+            raise ValueError(f"cannot serialize a non-finite value in rows {start}..{start + k - 1}")
+        stream.write((_CSV_ROW * k) % tuple(block.ravel().tolist()))
+    row = (alphas[last], rhos[last], epss[last], pts[last, 0], pts[last, 1])
+    if not np.isfinite(row).all():
+        raise ValueError(f"cannot serialize a non-finite value in row {last}")
+    stream.write(_CSV_LAST_ROW % (last, *row))
 
 
 def records_to_json_obj(report: SequenceReport) -> list[dict]:
-    """Records as JSON-ready objects mirroring SpiralRecord fields."""
-    out = []
-    for r in report.records:
-        out.append({
-            "n": r.n,
-            "alpha": r.alpha,
-            "delta": r.delta,
-            "rho": r.rho,
-            "eps": r.eps,
-            "x": [float(r.x[0]), float(r.x[1])],
-            "q": r.q,
-        })
-    return out
+    """One JSON-ready object per iterate: n, alpha, delta, rho, eps, x and q
+    (the radius ratio of the successor); `delta` and `q` are None on the
+    final one."""
+    return [
+        {"n": n, "alpha": alpha, "delta": delta, "rho": rho, "eps": eps, "x": x, "q": q}
+        for n, (alpha, delta, rho, eps, x, q) in enumerate(zip(
+            report.alphas().tolist(), report.deltas().tolist() + [None],
+            report.rhos().tolist(), report.epss().tolist(), report.points().tolist(),
+            report.qs().tolist() + [None]))
+    ]

@@ -25,8 +25,15 @@ MAX_ALPHA = 700.0
 #: Every forward step is at most 40 degrees.
 STEP_UPPER_BOUND = math.radians(40.0)
 
+#: Elements per slice when `columns` and the CSV writer and sums of
+#: `sequence` turn arrays into Python floats: bounds their temporary lists.
+CHUNK = 4096
+
+# sin of half the upper bracket end, as `_chord_sq(alpha, HALF_PI)` computes it
+_SIN_QUARTER_PI = math.sin(0.5 * HALF_PI)
+
 __all__ = [
-    "BracketInvalid", "HALF_PI", "MAX_ALPHA", "STEP_UPPER_BOUND", "TWO_PI", "advance",
+    "BracketInvalid", "CHUNK", "HALF_PI", "MAX_ALPHA", "STEP_UPPER_BOUND", "TWO_PI", "advance",
     "alpha_chain", "chord_sq", "columns", "curve", "eps", "next_alpha", "rho",
 ]
 
@@ -87,16 +94,33 @@ def chord_sq(alpha, t) -> float:
     return _chord_sq(_angle("alpha", alpha), _angle("t", t))
 
 
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
+
+
 def columns(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Radius, step size and curve point (an (n, 2) array) at each angle,
-    bit for bit the values of `rho`, `eps` and `curve`."""
+    bit for bit the values of `rho`, `eps` and `curve`.
+
+    The exponentials and the sines and cosines come from `math` (libm), one
+    slice of `CHUNK` angles at a time: numpy's own `exp`, `sin` and `cos` may
+    round differently in the last bit.  The arithmetic on their results is
+    done in numpy, where `+ - * /` round exactly as the scalar code does.
+    """
     n = alphas.size
     rhos, epss = np.empty(n), np.empty(n)
     points = np.empty((n, 2))
-    for i, a in enumerate(alphas.tolist()):
-        rhos[i] = _rho(a)
-        epss[i] = _eps(a)
-        points[i, 0], points[i, 1] = _curve_xy(a)
+    for start in range(0, n, CHUNK):
+        a = alphas[start:start + CHUNK]
+        end = start + a.size
+        r = rhos[start:end]
+        np.add(1.0, _libm(math.exp, -a), out=r)
+        far = _libm(math.exp, -(a + TWO_PI))
+        far += 1.0
+        np.subtract(r, far, out=epss[start:end])
+        epss[start:end] /= 2.0
+        np.multiply(r, _libm(math.cos, a), out=points[start:end, 0])
+        np.multiply(r, _libm(math.sin, a), out=points[start:end, 1])
     return rhos, epss, points
 
 
@@ -110,10 +134,14 @@ def advance(alpha: float, t_guess: float) -> float:
     leave it bisects instead.  Stops when f is exactly zero or the step is
     within one ulp of the angle.
     """
-    e2 = _eps(alpha) ** 2
-    if not (_chord_sq(alpha, 0.0) - e2 < 0.0 < _chord_sq(alpha, HALF_PI) - e2):
-        raise BracketInvalid(f"no sign change over the quarter-turn bracket at alpha={alpha!r}")
     r = _rho(alpha)
+    e2 = ((r - _rho(alpha + TWO_PI)) / 2.0) ** 2  # _eps(alpha) ** 2
+    # the bracket ends, f(0) and f(pi/2), as `_chord_sq` evaluates them; the
+    # chord at t = 0 is exactly 0.0
+    s = _rho(alpha + HALF_PI)
+    d = r - s
+    if not (0.0 - e2 < 0.0 < d * d + 4.0 * r * s * _SIN_QUARTER_PI * _SIN_QUARTER_PI - e2):
+        raise BracketInvalid(f"no sign change over the quarter-turn bracket at alpha={alpha!r}")
     lo, hi = 0.0, HALF_PI
     t = t_guess if lo < t_guess < hi else 0.5 * HALF_PI
     while True:

@@ -8,6 +8,8 @@ import pytest
 
 from altproj import sequence
 from altproj.euclid import DimensionMismatch, _as_cloud, as_point
+from altproj.serialize import fmt17
+from altproj.spiral import HALF_PI, BracketInvalid, _chord_sq, _eps, _rho
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +81,48 @@ def nearest_in_cloud(points, q, exclude: Optional[int] = None) -> tuple[int, flo
     else:
         margin = math.inf
     return best, best_d, margin
+
+
+def write_csv_rows(report: sequence.SequenceReport, stream) -> None:
+    """The row-at-a-time CSV writer: `sequence.write_csv` must write the same bytes."""
+    stream.write(sequence.CSV_HEADER + "\n")
+    alphas = report.alphas()
+    deltas = report.deltas()
+    rhos = report.rhos()
+    epss = report.epss()
+    pts = report.points()
+    last = len(report) - 1
+    for i in range(len(report)):
+        d = fmt17(deltas[i]) if i < last else ""
+        stream.write(f"{i},{fmt17(alphas[i])},{d},{fmt17(rhos[i])},"
+                     f"{fmt17(epss[i])},{fmt17(pts[i, 0])},{fmt17(pts[i, 1])}\n")
+
+
+def advance_with_full_bracket(alpha: float, t_guess: float) -> float:
+    """The step solve with both bracket ends evaluated by `_chord_sq`:
+    `spiral.advance` must return the same angle bit for bit."""
+    e2 = _eps(alpha) ** 2
+    if not (_chord_sq(alpha, 0.0) - e2 < 0.0 < _chord_sq(alpha, HALF_PI) - e2):
+        raise BracketInvalid(f"no sign change over the quarter-turn bracket at alpha={alpha!r}")
+    r = _rho(alpha)
+    lo, hi = 0.0, HALF_PI
+    t = t_guess if lo < t_guess < hi else 0.5 * HALF_PI
+    while True:
+        w = math.exp(-(alpha + t))
+        s = 1.0 + w
+        d = r - s
+        h = math.sin(0.5 * t)
+        f = d * d + 4.0 * r * s * h * h - e2
+        if f == 0.0:
+            return alpha + t
+        if f < 0.0:
+            lo = t
+        else:
+            hi = t
+        # f'(t) = 2 d w - 4 r w sin^2(t/2) + 2 r s sin(t), positive on (0, pi/2]
+        t_new = t - f / (2.0 * d * w - 4.0 * r * w * h * h + 2.0 * r * s * math.sin(t))
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        if abs(t_new - t) <= math.ulp(alpha + t_new):
+            return alpha + t_new
+        t = t_new

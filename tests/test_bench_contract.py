@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import altproj
-from altproj import cli, counterexample, finite_union, sequence  # noqa: F401  (wrap targets)
+from altproj import cli, counterexample, finite_union, sequence, spiral  # noqa: F401  (wrap targets)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -40,3 +42,16 @@ def test_verify_nearest_takes_the_horizon_second():
     # the tracer reads the nearest-point horizon from the second positional argument
     params = list(inspect.signature(sequence.verify_nearest).parameters)
     assert params[:2] == ["report", "horizon"]
+
+
+def test_write_csv_takes_the_stream_second():
+    # the tracer counts bytes written through `args[1].tell()`
+    params = list(inspect.signature(sequence.write_csv).parameters)
+    assert params[:2] == ["report", "stream"]
+
+
+def test_alpha_chain_returns_angles_and_flag():
+    # the tracer counts steps as `result[0].size - 1`
+    angles, stopped = spiral.alpha_chain(0.0, 3)
+    assert isinstance(angles, np.ndarray) and angles.size == 3
+    assert isinstance(stopped, bool)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import altproj
 from altproj import sequence
 from altproj.cli import (
     EXIT_CHECK_FAILED,
@@ -280,3 +285,27 @@ def test_union_batch(tmp_path, capsys):
     assert main(["union-batch", "--seeds", "5", "--dim", "2", "--out", str(out2)]) == EXIT_OK
     assert out.read_text() == out2.read_text()
     assert [o["seed"] for o in first_run] == [0, 1, 2, 3, 4]
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 1.6 MB of resident memory once imported (np.unique
+    # imports it); a fresh interpreter is needed because the test session may
+    # already hold it.
+    src = str(Path(altproj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from altproj.cli import main\n"
+        "for argv in (['gen', '--n', '300', '--out', 'seq.csv'],\n"
+        "             ['gen', '--n', '30', '--format', 'json', '--out', 'seq.json'],\n"
+        "             ['verify', '--horizon', '300'],\n"
+        "             ['export-sets', '--horizon', '300', '--out', 'sets.json'],\n"
+        "             ['run', '--config', 'sets.json', '--trace-out', 'trace.json'],\n"
+        "             ['union-batch', '--seeds', '20', '--out', 'batch.jsonl']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, f'numpy.ma was imported by {argv}'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from altproj.sequence import (
     verify_nearest,
     write_csv,
 )
-from conftest import nearest_scan
+from conftest import nearest_scan, write_csv_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,14 +30,13 @@ TWO_PI = 2.0 * math.pi
 def test_generate_single_record():
     report = generate(1)
     assert len(report) == 1
-    rec = report.records[0]
-    assert rec.n == 0
-    assert rec.alpha == 0.0
-    assert rec.rho == 2.0
-    assert rec.eps == pytest.approx(0.4990663, abs=1e-7)
-    np.testing.assert_array_equal(rec.x, [2.0, 0.0])
-    assert rec.delta is None
-    assert rec.q is None
+    assert [obj["n"] for obj in records_to_json_obj(report)] == [0]
+    assert report.alphas()[0] == 0.0
+    assert report.rhos()[0] == 2.0
+    assert report.epss()[0] == pytest.approx(0.4990663, abs=1e-7)
+    np.testing.assert_array_equal(report.points()[0], [2.0, 0.0])
+    assert report.deltas().size == 0  # no successor: no delta and no radius ratio
+    assert report.qs().size == 0
     assert report.partial_delta_sum == 0.0
     assert report.max_identity_residual == 0.0
 
@@ -48,11 +47,10 @@ def test_generate_validates_n_max():
 
 
 def test_first_sixteen_records(report_300):
-    recs = report_300.records[:16]
-    assert [r.n for r in recs] == list(range(16))
-    for r in recs[:-1]:
-        assert 0.0 < r.delta <= spiral.STEP_UPPER_BOUND
-    epss = [r.eps for r in recs]
+    assert [obj["n"] for obj in records_to_json_obj(report_300)[:16]] == list(range(16))
+    for delta in report_300.deltas()[:15].tolist():
+        assert 0.0 < delta <= spiral.STEP_UPPER_BOUND
+    epss = report_300.epss()[:16].tolist()
     assert all(a > b for a, b in zip(epss, epss[1:]))
 
 
@@ -273,4 +271,38 @@ def test_json_records():
     assert objs[0]["x"] == [2.0, 0.0]
     assert objs[-1]["delta"] is None
     assert objs[-1]["q"] is None
-    assert objs[0]["delta"] == report.records[0].delta
+    assert objs[0]["delta"] == report.deltas()[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, spiral.CHUNK - 1, spiral.CHUNK, spiral.CHUNK + 1,
+                               2 * spiral.CHUNK + 1])
+def test_csv_equals_row_writer(n):
+    # the sizes straddle the block edges of the writer
+    report = generate(n)
+    fast, rows = io.StringIO(), io.StringIO()
+    write_csv(report, fast)
+    write_csv_rows(report, rows)
+    assert fast.getvalue() == rows.getvalue()
+
+
+def test_csv_of_empty_report_is_the_header():
+    empty = np.empty(0)
+    report = SequenceReport(empty, empty.copy(), empty.copy(), np.empty((0, 2)), False)
+    buf = io.StringIO()
+    write_csv(report, buf)
+    assert buf.getvalue() == "n,alpha,delta,rho,eps,x,y\n"
+
+
+@pytest.mark.parametrize("column, bad", [("alphas", math.nan), ("rhos", math.inf),
+                                         ("epss", -math.inf), ("points", math.nan),
+                                         ("points", math.inf)])
+@pytest.mark.parametrize("row", [0, spiral.CHUNK + 2, spiral.CHUNK + 9])
+def test_csv_rejects_non_finite(report_10k, column, bad, row):
+    # row CHUNK + 9 is the final row, written on its own; an infinite angle
+    # is left out because the report itself rejects it
+    cols = {name: getattr(report_10k, name)()[:spiral.CHUNK + 10].copy()
+            for name in ("alphas", "rhos", "epss", "points")}
+    cols[column][row] = bad
+    report = SequenceReport(cols["alphas"], cols["rhos"], cols["epss"], cols["points"], False)
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(report, io.StringIO())

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altproj import spiral
 from altproj.spiral import (
+    CHUNK,
     HALF_PI,
     TWO_PI,
     BracketInvalid,
@@ -16,6 +19,7 @@ from altproj.spiral import (
     next_alpha,
     rho,
 )
+from conftest import advance_with_full_bracket
 
 # Angles computed independently at 60 decimal digits (bracketed root solve on
 # the exact chord equation), frozen here to 22 significant digits.
@@ -103,12 +107,15 @@ def test_curve_injective_on_samples():
 
 
 def test_columns_equal_scalar_functions():
-    angles = np.array([0.0, 0.3, 2.0, 11.0])
-    rhos, epss, points = spiral.columns(angles)
-    for i, a in enumerate(angles.tolist()):
-        assert rhos[i] == rho(a)
-        assert epss[i] == eps(a)
-        np.testing.assert_array_equal(points[i], curve(a))
+    angles = np.concatenate(([0.0, 0.3, 2.0, 11.0], np.linspace(0.0, 30.0, 2 * CHUNK)))
+    # the sizes straddle the slice edges of the column build
+    for size in (0, 1, 4, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        rhos, epss, points = spiral.columns(angles[:size])
+        assert rhos.shape == epss.shape == (size,) and points.shape == (size, 2)
+        for i, a in enumerate(angles[:size].tolist()):
+            assert rhos[i] == rho(a)
+            assert epss[i] == eps(a)
+            np.testing.assert_array_equal(points[i], curve(a))
 
 
 def test_chord_sq_zero_at_origin_and_right_angle():
@@ -186,6 +193,35 @@ def test_advance_converges_from_any_guess(guess):
     for alpha in (0.0, 1.0, 5.0, 20.0):
         expected = next_alpha(alpha)
         assert abs(advance(alpha, guess) - expected) <= 2 * math.ulp(expected)
+
+
+def test_alpha_chain_equals_full_bracket_solve():
+    angles, stopped = alpha_chain(0.0, 20_000)
+    assert not stopped
+    a = 0.0
+    step = eps(a) / rho(a)
+    expected = [a]
+    for _ in range(19_999):
+        b = advance_with_full_bracket(a, step)
+        step = b - a
+        expected.append(b)
+        a = b
+    assert angles.tolist() == expected
+
+
+def _advance_outcome(solve, alpha, guess):
+    try:
+        return solve(alpha, guess)
+    except BracketInvalid:
+        return "BracketInvalid"
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 45.0), guess=st.floats(-1.0, 4.0))
+def test_advance_equals_full_bracket_solve(alpha, guess):
+    # past alpha ~36.7 the step size is 0 and both raise BracketInvalid
+    assert (_advance_outcome(advance, alpha, guess)
+            == _advance_outcome(advance_with_full_bracket, alpha, guess))
 
 
 def test_alpha_chain_validates_count():
