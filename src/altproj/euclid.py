@@ -9,7 +9,9 @@ Projection is genuinely set-valued: `project` returns every minimizer whose
 distance is within `tie_tol` of the optimum, and flags multivaluedness
 instead of silently picking a representative.  Every query is one pass over
 the set; point clouds answer it through a lazily built leaf index that
-returns exactly what a full scan would.  The one deliberately fatal
+visits the nearest leaf and then, in one batch, every leaf within `tie_tol`
+of that leaf's smallest distance, so it returns exactly the distance and
+candidates a full scan would.  The one deliberately fatal
 case is projecting the center of a sphere, where the minimizer set is the
 whole sphere: that raises `DegenerateProjection`.
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -123,36 +124,28 @@ def _dedupe(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
 class ProjectionResult:
     """All nearest points of a set to a query.
 
-    `margin` is the gap between the optimal distance and the best candidate
-    *not* returned (the first alternative beyond `tie_tol`); +inf when every
-    discrete alternative was returned or none exists.  Ties therefore show up
-    in `multivalued`, not in `margin`.
+    `candidates` holds every minimizer within `tie_tol` of the optimal
+    `distance`; `multivalued` is set when there is more than one.
     """
 
     candidates: list[np.ndarray]
     distance: float
     multivalued: bool
-    margin: float
 
 
 class _Hit(NamedTuple):
     """The outcome of one projection pass over a set.
 
     `candidates` is None when the minimizer set is a continuum (a sphere
-    queried at its center).  `band` holds the distance of every discrete
-    alternative within `distance + tie_tol`, and `beyond` the smallest one
-    past that band (+inf when none), so a union takes its margin from the
-    same pass that found its candidates.
+    queried at its center).
     """
 
     distance: float
     candidates: Optional[list]
-    band: Sequence[float]
-    beyond: float
 
 
 def _single(candidate: np.ndarray, dist: float) -> _Hit:
-    return _Hit(dist, [candidate], (dist,), math.inf)
+    return _Hit(dist, [candidate])
 
 
 class ProjectorSpec:
@@ -188,8 +181,7 @@ class ProjectorSpec:
             raise DegenerateProjection(
                 "projection of the sphere center: the minimizer set is the whole sphere"
             )
-        return ProjectionResult(hit.candidates, hit.distance, len(hit.candidates) > 1,
-                                hit.beyond - hit.distance)
+        return ProjectionResult(hit.candidates, hit.distance, len(hit.candidates) > 1)
 
     def contains(self, q, tol: float = MEMBERSHIP_TOL) -> bool:
         """Membership within `tol`."""
@@ -222,7 +214,7 @@ class Sphere(ProjectorSpec):
         d = _norm(diff)
         dist = abs(d - self.radius)
         if d <= _CENTER_TOL:
-            return _Hit(dist, None, (dist,), math.inf)
+            return _Hit(dist, None)
         return _single(_radial_point(self.center, self.radius, diff, d), dist)
 
     def to_dict(self):
@@ -357,9 +349,9 @@ class _CloudIndex:
     `lo`/`hi`.  The boxes are kept transposed, `(d, L)`, because the bound
     pass then works on contiguous rows, about twice as fast as on `(L, d)`.
     The last bucket is topped up with repeats of its final point, which
-    change no minimum and no margin, and whose repeated index is dropped
-    from the candidates.  A cloud of at most one leaf is a single bucket in
-    its original order.
+    change no minimum, and whose repeated index is dropped from the
+    candidates.  A cloud of at most one leaf is a single bucket in its
+    original order.
     """
 
     def __init__(self, points: np.ndarray):
@@ -377,11 +369,10 @@ class _CloudIndex:
         """Distances and original indices of the points in every leaf visited.
 
         Every leaf's box bound comes from one vectorised pass.  The leaf with
-        the smallest bound is visited first; then every unvisited leaf whose
-        bound does not exceed the smallest distance found beyond the tie band,
-        until no such leaf is left.  Each point left out is farther than that
-        distance, so the visited points hold the minimum, all of its ties and
-        the first alternative past them.
+        the smallest bound is visited first, giving its smallest distance `d`;
+        then, in one batch, every other leaf whose bound does not exceed
+        `d + tie_tol`.  The minimum is at most `d`, so every point within
+        `tie_tol` of it lies in a visited leaf.
         """
         col = q[:, None]
         gap = self.lo - col
@@ -393,21 +384,9 @@ class _CloudIndex:
         first = int(bound.argmin())
         bound[first] = math.inf
         dists = _dists(self.points[first], q)
-        ids = self.ids[first]
-        while True:
-            past = dists[dists > dists.min() + tie_tol]
-            if past.size:
-                take = np.flatnonzero(bound <= past.min())
-                if not take.size:
-                    break
-            else:  # nothing beyond the band yet: the next leaf must be seen
-                take = bound.argmin(keepdims=True)
-                if bound[take[0]] == math.inf:
-                    break
-            bound[take] = math.inf
-            dists = np.concatenate([dists, _dists(self.points[take].reshape(-1, q.size), q)])
-            ids = np.concatenate([ids, self.ids[take].ravel()])
-        return dists, ids
+        take = np.flatnonzero(bound <= dists.min() + tie_tol)
+        return (np.concatenate([dists, _dists(self.points[take].reshape(-1, q.size), q)]),
+                np.concatenate([self.ids[first], self.ids[take].ravel()]))
 
     def leaves_within(self, leaf: int, reach: float) -> np.ndarray:
         """Every leaf that may hold a point within `reach` of a point of `leaf`.
@@ -441,11 +420,8 @@ class PointCloud(ProjectorSpec):
     def _nearest(self, q, tie_tol):
         dists, ids = self._index.search(q, tie_tol)
         dmin = float(dists.min())
-        mask = dists <= dmin + tie_tol
-        cands = _dedupe([self.points[i].copy() for i in sorted(set(ids[mask].tolist()))],
-                        tie_tol)
-        rest = dists[~mask]
-        return _Hit(dmin, cands, dists[mask], float(rest.min()) if rest.size else math.inf)
+        near = sorted(set(ids[dists <= dmin + tie_tol].tolist()))
+        return _Hit(dmin, _dedupe([self.points[i].copy() for i in near], tie_tol))
 
     def to_dict(self):
         return {"type": "points", "coords": self.points.tolist()}
@@ -467,24 +443,10 @@ class Union(ProjectorSpec):
     def _nearest(self, q, tie_tol):
         hits = [m._nearest(q, tie_tol) for m in self.members]
         dmin = min(h.distance for h in hits)
-        edge = dmin + tie_tol
-        cands: list[np.ndarray] = []
-        continuum = False
-        band: list[float] = []
-        beyond = math.inf
-        for h in hits:
-            if h.distance <= edge:
-                if h.candidates is None:
-                    continuum = True
-                else:
-                    cands.extend(h.candidates)
-            for d in h.band:
-                if d <= edge:
-                    band.append(d)
-                elif d < beyond:
-                    beyond = float(d)
-            beyond = min(beyond, h.beyond)
-        return _Hit(dmin, None if continuum else _dedupe(cands, tie_tol), band, beyond)
+        near = [h.candidates for h in hits if h.distance <= dmin + tie_tol]
+        if None in near:  # a sphere queried at its center is among the minimizers
+            return _Hit(dmin, None)
+        return _Hit(dmin, _dedupe([p for cands in near for p in cands], tie_tol))
 
     def to_dict(self):
         return {"type": "union", "members": [m.to_dict() for m in self.members]}

@@ -13,7 +13,6 @@ farther).
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ __all__ = [
     "NearestPropertyViolated",
     "SequenceReport",
     "check_halfangle_identity",
+    "check_step_identity",
     "generate",
     "records_to_json_obj",
     "verify_nearest",
@@ -48,19 +48,8 @@ class NearestPropertyViolated(RuntimeError):
         self.found = found
 
 
-def _fsum(values: np.ndarray) -> float:
-    # the same values in the same order as math.fsum(values.tolist()), without
-    # a full-length list (which would set the peak memory of `generate`)
-    step = spiral.CHUNK
-    return math.fsum(chain.from_iterable(
-        values[i:i + step].tolist() for i in range(0, values.size, step)))
-
-
 class SequenceReport:
-    """Immutable result of `generate`.
-
-    Exposes the summary statistics plus read-only column arrays.
-    """
+    """Immutable result of `generate`: read-only column arrays."""
 
     def __init__(self, alphas: np.ndarray, rhos: np.ndarray, epss: np.ndarray,
                  points: np.ndarray, stopped_early: bool):
@@ -74,14 +63,6 @@ class SequenceReport:
                     self._deltas, self._qs):
             arr.flags.writeable = False
         self.stopped_early = stopped_early
-        self.partial_delta_sum = _fsum(self._deltas)
-        self.partial_eps_sum = _fsum(epss[:-1])
-        if len(alphas) > 1:
-            chords = np.hypot(points[1:, 0] - points[:-1, 0],
-                              points[1:, 1] - points[:-1, 1])
-            self.max_identity_residual = float(np.abs(chords - epss[:-1]).max())
-        else:
-            self.max_identity_residual = 0.0
 
     def __len__(self) -> int:
         return self._alphas.size
@@ -117,6 +98,19 @@ def generate(n_max: int, max_alpha: float = spiral.MAX_ALPHA) -> SequenceReport:
     alphas, stopped = spiral.alpha_chain(0.0, int(n_max), max_alpha)
     rhos, epss, points = spiral.columns(alphas)
     return SequenceReport(alphas, rhos, epss, points, stopped)
+
+
+def check_step_identity(report: SequenceReport) -> float:
+    """Max |chord - eps| over the steps: each chord |x_{n+1} - x_n| must
+    equal the step size eps_n.  Computed `spiral.CHUNK` steps at a time, so
+    no full-length temporary is built."""
+    pts, epss = report.points(), report.epss()
+    worst = 0.0
+    for start in range(0, len(report) - 1, spiral.CHUNK):
+        p = pts[start:start + spiral.CHUNK + 1]
+        chords = np.hypot(p[1:, 0] - p[:-1, 0], p[1:, 1] - p[:-1, 1])
+        worst = max(worst, float(np.abs(chords - epss[start:start + chords.size]).max()))
+    return worst
 
 
 class HalfAngleResiduals(NamedTuple):

@@ -1,8 +1,9 @@
 """The names the benchmark harness in `perfbench/` looks up on the package.
 
-The harness wraps package functions through their module attributes and
-records `altproj.BACKEND`; renaming or deleting any of them breaks every
-benchmark run, so the suite checks them here.
+The harness wraps package functions through their module attributes,
+reads fields of their results and records `altproj.BACKEND`; renaming or
+deleting any of them breaks every benchmark run, so the suite checks them
+here.
 """
 
 import importlib.util
@@ -14,19 +15,19 @@ import pytest
 import numpy as np
 
 import altproj
-from altproj import cli, counterexample, finite_union, sequence, spiral  # noqa: F401  (wrap targets)
+from altproj import cli, counterexample, euclid, finite_union, map_driver, sequence, spiral  # noqa: F401  (wrap targets)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _wrap_points():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.WRAP_POINTS
+    return tracer
 
 
-@pytest.mark.parametrize("module_name, path", [point[:2] for point in _wrap_points()])
+@pytest.mark.parametrize("module_name, path", [point[:2] for point in _tracer().WRAP_POINTS])
 def test_wrap_point_resolves(module_name, path):
     owner = getattr(altproj, module_name)
     for attr in path.split("."):
@@ -55,3 +56,18 @@ def test_alpha_chain_returns_angles_and_flag():
     angles, stopped = spiral.alpha_chain(0.0, 3)
     assert isinstance(angles, np.ndarray) and angles.size == 3
     assert isinstance(stopped, bool)
+
+
+def test_tracer_hooks_read_real_results():
+    # the after-hooks of `ProjectorSpec.project` and `map_driver.run` read
+    # fields of the results; run them on real ones
+    tracer = _tracer()
+    cloud = euclid.PointCloud([[0.0, 0.0], [0.6, 0.0]])
+    for q, tie in (([0.3, 0.0], 1), ([0.9, 0.0], 0)):
+        res = cloud.project(q)
+        assert tracer._multivalued((cloud, q), res, None) == {"euclid.project.multivalued": tie}
+    config = map_driver.MapConfig(cloud, euclid.PointCloud([[0.3, 0.0], [0.9, 0.0]]),
+                                  np.array([0.9, 0.0]), max_iter=5)
+    trace = map_driver.run(config)
+    assert tracer._map_run((config,), trace, None) == {
+        "map_driver.iterations": 5, "map_driver.multivalued_events": 5}

@@ -287,6 +287,18 @@ def test_union_batch(tmp_path, capsys):
     assert [o["seed"] for o in first_run] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_union_batch_rejects_bad_tol(tmp_path, capsys, tol):
+    out = tmp_path / "batch.jsonl"
+    code = main(["union-batch", "--seeds", "2", "--tol", tol, "--out", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "--tol" in captured.err
+    assert not out.exists()
+
+
 def test_commands_leave_numpy_ma_unloaded(tmp_path):
     # numpy.ma costs about 1.6 MB of resident memory once imported (np.unique
     # imports it); a fresh interpreter is needed because the test session may

@@ -51,7 +51,6 @@ def test_ball_projection_radial():
     np.testing.assert_array_equal(res.candidates[0], [1.0, 0.0])
     assert res.distance == 1.0
     assert not res.multivalued
-    assert res.margin == math.inf
 
 
 def test_point_cloud_symmetric_tie_is_multivalued():
@@ -69,7 +68,6 @@ def test_union_sphere_and_tail_cloud_projects_to_successor():
     res = project(spec, pts[0])
     assert len(res.candidates) == 1
     np.testing.assert_array_equal(res.candidates[0], pts[1])
-    assert res.margin > 0.0
 
 
 def test_ball_inside_point_is_fixed():
@@ -208,7 +206,6 @@ def test_fuzz_projection_invariants():
         res = project(spec, q)
         assert abs(res.distance - d) <= 1e-9
         assert res.multivalued == (len(res.candidates) > 1)
-        assert res.margin >= 0.0
         for cand in res.candidates:
             assert abs(np.linalg.norm(q - cand) - d) <= 1e-9
             assert spec.distance(cand) <= 1e-9
@@ -260,7 +257,6 @@ def test_union_margin_across_members():
     spec = Union([PointCloud([[0.0, 0.0]]), PointCloud([[3.0, 0.0]])])
     res = project(spec, [1.0, 0.0])
     np.testing.assert_array_equal(res.candidates[0], [0.0, 0.0])
-    assert res.margin == pytest.approx(1.0)
 
 
 def test_point_cloud_dedupes_coincident_points():
@@ -315,7 +311,7 @@ def _oracle(members, q, tol):
     """Brute-force projection onto a union of point clouds and spheres.
 
     Scans every point; a member is a minimizer when its distance is within
-    `tol` of the union's, and the margin is taken over every alternative.
+    `tol` of the union's.
     """
     hits = []
     for m in members:
@@ -323,27 +319,24 @@ def _oracle(members, q, tol):
             d = np.sqrt(((m.points - q) ** 2).sum(axis=1))
             dmin = float(d.min())
             cands = [m.points[i] for i in range(len(d)) if d[i] <= dmin + tol]
-            hits.append((dmin, _oracle_dedupe(cands, tol), d))
+            hits.append((dmin, _oracle_dedupe(cands, tol)))
         else:
             diff = q - m.center
             r = float(np.linalg.norm(diff))
             dist = abs(r - m.radius)
-            hits.append((dist, [m.center + (m.radius / r) * diff], np.array([dist])))
+            hits.append((dist, [m.center + (m.radius / r) * diff]))
     dmin = min(h[0] for h in hits)
     cands = _oracle_dedupe([c for h in hits if h[0] <= dmin + tol for c in h[1]], tol)
-    alts = np.concatenate([h[2] for h in hits])
-    rest = alts[alts > dmin + tol]
-    return dmin, cands, float(rest.min()) - dmin if rest.size else math.inf
+    return dmin, cands
 
 
 def _assert_matches_oracle(res, expected):
-    dmin, cands, margin = expected
+    dmin, cands = expected
     assert res.distance == dmin
     assert len(res.candidates) == len(cands)
     for got, want in zip(res.candidates, cands):
         assert np.array_equal(got, want)
     assert res.multivalued == (len(cands) > 1)
-    assert res.margin == margin
 
 
 def _cloud_layout(layout, rng, n, dim):
@@ -397,9 +390,51 @@ def test_union_sphere_center_degenerate_only_among_minimizers():
     assert len(res.candidates) == 1
     np.testing.assert_array_equal(res.candidates[0], [0.25, 0.0])
     assert res.distance == 0.25
-    assert res.margin == 0.75  # the sphere, at distance 1
     assert distance(Union([sphere, PointCloud([[3.0, 0.0]])]), [0.0, 0.0]) == 1.0
     with pytest.raises(DegenerateProjection):
         project(Union([PointCloud([[3.0, 0.0]]), sphere]), [0.0, 0.0])
     with pytest.raises(DegenerateProjection):
         project(Union([Union([sphere]), PointCloud([[3.0, 0.0]])]), [0.0, 0.0])
+
+
+def _two_leaf_cloud(left, right):
+    """A 2-D cloud of two leaves split along x: `left` topped up with points
+    at x = -10 and `right` with points at x = 20, spread along y."""
+    fill = np.linspace(-5.0, 5.0, LEAF_SIZE - 1)
+    pts = np.concatenate([[left], np.stack([np.full_like(fill, -10.0), fill], axis=1),
+                          [right], np.stack([np.full_like(fill, 20.0), fill], axis=1)])
+    return PointCloud(pts)
+
+
+def _leaf_bounds(index, q):
+    gap = np.maximum(np.maximum(index.lo - q[:, None], q[:, None] - index.hi), 0.0)
+    return np.sqrt((gap ** 2).sum(axis=0))
+
+
+def test_search_visits_beyond_the_leaf_with_the_smallest_bound():
+    # The left leaf's box contains q, so its bound is 0, but its points are
+    # all at least 5 away; the nearest point sits in the right leaf.
+    cloud = _two_leaf_cloud([1.0, 5.0], [1.2, 0.0])
+    q = np.array([0.5, 0.0])
+    index = cloud._index
+    first = int(_leaf_bounds(index, q).argmin())
+    expected = _oracle([cloud], q, 1e-9)
+    np.testing.assert_array_equal(expected[1][0], cloud.points[LEAF_SIZE])  # `right`
+    assert LEAF_SIZE not in index.ids[first]
+    _assert_matches_oracle(project(cloud, q, 1e-9), expected)
+
+
+def test_search_gathers_a_tie_split_across_leaves():
+    # The left leaf holds the minimum d = 1; the right leaf's bound, 1.1, is
+    # past d but within d + tie_tol, and its point at 1.1 is a tie.
+    cloud = _two_leaf_cloud([-1.0, 0.0], [1.1, 0.0])
+    q = O2
+    tol = 0.3
+    index = cloud._index
+    bounds = _leaf_bounds(index, q)
+    first = int(bounds.argmin())
+    d = float(_oracle([PointCloud(index.points[first])], q, tol)[0])
+    assert d < bounds[1 - first] <= d + tol
+    res = project(cloud, q, tol)
+    _assert_matches_oracle(res, _oracle([cloud], q, tol))
+    assert res.multivalued

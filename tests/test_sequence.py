@@ -17,6 +17,7 @@ from altproj.sequence import (
     NearestPropertyViolated,
     SequenceReport,
     check_halfangle_identity,
+    check_step_identity,
     generate,
     records_to_json_obj,
     verify_nearest,
@@ -37,8 +38,8 @@ def test_generate_single_record():
     np.testing.assert_array_equal(report.points()[0], [2.0, 0.0])
     assert report.deltas().size == 0  # no successor: no delta and no radius ratio
     assert report.qs().size == 0
-    assert report.partial_delta_sum == 0.0
-    assert report.max_identity_residual == 0.0
+    assert math.fsum(report.deltas().tolist()) == 0.0
+    assert check_step_identity(report) == 0.0
 
 
 def test_generate_validates_n_max():
@@ -65,7 +66,25 @@ def test_record_invariants(report_10k):
 
 
 def test_chord_equals_eps(report_10k):
-    assert report_10k.max_identity_residual <= 1e-10
+    assert check_step_identity(report_10k) <= 1e-10
+
+
+@pytest.mark.parametrize("n, bad", [(2, 0), (3, 1), (spiral.CHUNK + 1, spiral.CHUNK - 1),
+                                    (2 * spiral.CHUNK + 2, spiral.CHUNK - 1),
+                                    (2 * spiral.CHUNK + 2, spiral.CHUNK),
+                                    (2 * spiral.CHUNK + 2, 2 * spiral.CHUNK)])
+def test_step_identity_sees_every_step(report_10k, n, bad):
+    # the residual is taken a slice at a time; a wrong step size must show
+    # wherever the slices are cut, and the value is the full-length max
+    epss = report_10k.epss()[:n].copy()
+    epss[bad] += 1e-6
+    pts = report_10k.points()[:n].copy()
+    report = SequenceReport(report_10k.alphas()[:n].copy(), report_10k.rhos()[:n].copy(),
+                            epss, pts, False)
+    chords = np.hypot(pts[1:, 0] - pts[:-1, 0], pts[1:, 1] - pts[:-1, 1])
+    residual = check_step_identity(report)
+    assert residual == np.abs(chords - epss[:-1]).max()
+    assert residual > 1e-7
 
 
 def test_sphere_gap_identity(report_10k):
@@ -87,7 +106,7 @@ def test_halfangle_identity_single_record():
 
 def test_telescoping(report_10k):
     alphas = report_10k.alphas()
-    assert abs(report_10k.partial_delta_sum - (alphas[-1] - alphas[0])) <= 1e-10
+    assert abs(math.fsum(report_10k.deltas().tolist()) - (alphas[-1] - alphas[0])) <= 1e-10
 
 
 def test_eps_exceeds_half_delta_everywhere(report_10k):
@@ -122,7 +141,7 @@ def test_partial_eps_sum_grows_without_bound(report_10k):
     # individual steps shrink below any fixed level
     epss = report_10k.epss()
     partial_2k = math.fsum(epss[:1999].tolist())
-    partial_10k = report_10k.partial_eps_sum
+    partial_10k = math.fsum(epss[:-1].tolist())
     assert partial_10k > partial_2k + 0.5
     assert epss[-1] < epss[1999] < epss[0]
 
