@@ -2,7 +2,7 @@
 
 The package provides exact projection onto spheres, balls, boxes,
 halfspaces, segments, finite point clouds, and finite unions of those; an
-alternating-projections driver with trace capture and cluster diagnostics;
+alternating-projections driver with trace capture and a run verdict;
 a spiral iterate construction whose alternating-projection runs never
 converge (the cluster set fills the whole unit circle); and an empirical
 harness confirming that over *finite* unions of convex sets, bounded runs
@@ -21,12 +21,8 @@ from .euclid import (
     Segment,
     Sphere,
     Union,
-    distance,
-    project,
-    spec_from_json,
-    spec_to_json,
 )
-from .map_driver import MapConfig, MapTrace, Verdict, cluster_diagnostics, run
+from .map_driver import MapConfig, MapTrace, Verdict, run
 from .sequence import SequenceReport, generate, verify_nearest
 from .spiral import BracketInvalid, alpha_chain, curve, eps, next_alpha, rho
 
@@ -55,16 +51,11 @@ __all__ = [
     "Union",
     "Verdict",
     "alpha_chain",
-    "cluster_diagnostics",
     "curve",
-    "distance",
     "eps",
     "generate",
     "next_alpha",
-    "project",
     "rho",
     "run",
-    "spec_from_json",
-    "spec_to_json",
     "verify_nearest",
 ]

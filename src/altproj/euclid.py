@@ -2,8 +2,8 @@
 
 Points are 1-D numpy float64 arrays.  A projector spec describes a closed
 set -- sphere, closed ball, axis-aligned box, halfspace, segment, finite
-point cloud, or a finite union of those -- and answers three exact queries:
-membership, distance, and the full set of nearest points.
+point cloud, or a finite union of those -- and answers two exact queries:
+distance, and the full set of nearest points.
 
 Projection is genuinely set-valued: `project` returns every minimizer whose
 distance is within `tie_tol` of the optimum, and flags multivaluedness
@@ -21,21 +21,17 @@ immutable after construction.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+import numbers
+import operator
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .serialize import render_json
-
 #: Candidates within this distance of the optimum are reported together.
 DEFAULT_TIE_TOL = 1e-9
-
-#: Membership tests accept points within this distance of the set.
-MEMBERSHIP_TOL = 1e-9
 
 #: Points per leaf bucket of a point cloud's index.
 LEAF_SIZE = 64
@@ -54,7 +50,6 @@ __all__ = [
     "DimensionMismatch",
     "Halfspace",
     "LEAF_SIZE",
-    "MEMBERSHIP_TOL",
     "PointCloud",
     "ProjectionResult",
     "ProjectorSpec",
@@ -62,12 +57,7 @@ __all__ = [
     "Sphere",
     "Union",
     "as_point",
-    "distance",
-    "project",
     "spec_from_dict",
-    "spec_from_json",
-    "spec_to_dict",
-    "spec_to_json",
 ]
 
 
@@ -79,23 +69,62 @@ class DegenerateProjection(RuntimeError):
     """The minimizer set is a continuum (e.g. a whole sphere); no point is returned."""
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _finite(name: str, value) -> float:
+    """`value` as a finite float; bools and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+_EXPECTED = "{} must be a nonempty {}-D list of numbers, got {}"
+
+
+def _coords(values, ndim: int, what: str) -> np.ndarray:
+    """`values` as a new finite float64 array of `ndim` nonempty axes.
+
+    The array is built once and only integer or float element types pass,
+    so strings, bools, None, objects and ragged nestings are all rejected
+    without a per-element loop.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ValueError(_EXPECTED.format(what, ndim, "a ragged list")) from None
+    if arr.dtype.kind not in "iuf":
+        got = {"b": "bool", "U": "string"}.get(arr.dtype.kind, "non-numeric")
+        raise ValueError(_EXPECTED.format(what, ndim, f"{got} values"))
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(_EXPECTED.format(what, ndim, f"shape {arr.shape}"))
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} coordinates must be finite")
+    return arr
+
+
 def as_point(coords) -> np.ndarray:
     """Validate and copy coordinates into a finite 1-D float64 vector."""
-    arr = np.array(coords, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"a point must be a nonempty 1-D coordinate sequence, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("point coordinates must be finite")
-    return arr
+    return _coords(coords, 1, "point")
 
 
 def _as_cloud(points) -> np.ndarray:
-    arr = np.array(points, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"a point cloud must be a nonempty list of points, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("point cloud coordinates must be finite")
-    return arr
+    return _coords(points, 2, "point cloud")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -183,18 +212,17 @@ class ProjectorSpec:
             )
         return ProjectionResult(hit.candidates, hit.distance, len(hit.candidates) > 1)
 
-    def contains(self, q, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Membership within `tol`."""
-        return self.distance(q) <= tol
-
     def _nearest(self, q: np.ndarray, tie_tol: float) -> _Hit:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    def to_json(self) -> str:
-        return spec_to_json(self)
+        """The JSON-object form that `spec_from_dict` reads back."""
+        kind, names = _KIND_OF[type(self)]
+        out = {"type": kind}
+        for name, f in zip(names, fields(self)):
+            value = getattr(self, f.name)
+            out[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
 
 
 @dataclass(eq=False)
@@ -204,7 +232,7 @@ class Sphere(ProjectorSpec):
 
     def __post_init__(self):
         self.center = as_point(self.center)
-        self.radius = float(self.radius)
+        self.radius = _finite("radius", self.radius)
         if not (self.radius > 0.0):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         self.dim = self.center.size
@@ -217,9 +245,6 @@ class Sphere(ProjectorSpec):
             return _Hit(dist, None)
         return _single(_radial_point(self.center, self.radius, diff, d), dist)
 
-    def to_dict(self):
-        return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius}
-
 
 @dataclass(eq=False)
 class Ball(ProjectorSpec):
@@ -228,7 +253,7 @@ class Ball(ProjectorSpec):
 
     def __post_init__(self):
         self.center = as_point(self.center)
-        self.radius = float(self.radius)
+        self.radius = _finite("radius", self.radius)
         if not (self.radius > 0.0):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         self.dim = self.center.size
@@ -239,9 +264,6 @@ class Ball(ProjectorSpec):
         if d <= self.radius:
             return _single(q.copy(), 0.0)
         return _single(_radial_point(self.center, self.radius, diff, d), d - self.radius)
-
-    def to_dict(self):
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
 @dataclass(eq=False)
@@ -262,9 +284,6 @@ class Box(ProjectorSpec):
         cand = np.clip(q, self.lo, self.hi)
         return _single(cand, _norm(q - cand))
 
-    def to_dict(self):
-        return {"type": "box", "min": self.lo.tolist(), "max": self.hi.tolist()}
-
 
 @dataclass(eq=False)
 class Halfspace(ProjectorSpec):
@@ -275,7 +294,7 @@ class Halfspace(ProjectorSpec):
 
     def __post_init__(self):
         self.normal = as_point(self.normal)
-        self.offset = float(self.offset)
+        self.offset = _finite("offset", self.offset)
         if abs(_norm(self.normal) - 1.0) > _UNIT_TOL:
             raise ValueError("halfspace normal must have unit norm (within 1e-12)")
         self.dim = self.normal.size
@@ -285,9 +304,6 @@ class Halfspace(ProjectorSpec):
         if s <= 0.0:
             return _single(q.copy(), 0.0)
         return _single(q - s * self.normal, s)
-
-    def to_dict(self):
-        return {"type": "halfspace", "normal": self.normal.tolist(), "offset": self.offset}
 
 
 @dataclass(eq=False)
@@ -314,9 +330,6 @@ class Segment(ProjectorSpec):
     def _nearest(self, q, tie_tol):
         cand = self._closest(q)
         return _single(cand, _norm(q - cand))
-
-    def to_dict(self):
-        return {"type": "segment", "a": self.a.tolist(), "b": self.b.tolist()}
 
 
 def _dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -423,9 +436,6 @@ class PointCloud(ProjectorSpec):
         near = sorted(set(ids[dists <= dmin + tie_tol].tolist()))
         return _Hit(dmin, _dedupe([self.points[i].copy() for i in near], tie_tol))
 
-    def to_dict(self):
-        return {"type": "points", "coords": self.points.tolist()}
-
 
 @dataclass(eq=False)
 class Union(ProjectorSpec):
@@ -452,29 +462,17 @@ class Union(ProjectorSpec):
         return {"type": "union", "members": [m.to_dict() for m in self.members]}
 
 
-def distance(spec: ProjectorSpec, q) -> float:
-    """Infimum distance from `q` to the set described by `spec`."""
-    return spec.distance(q)
-
-
-def project(spec: ProjectorSpec, q, tie_tol: float = DEFAULT_TIE_TOL) -> ProjectionResult:
-    """Set-valued projection of `q` onto the set described by `spec`."""
-    return spec.project(q, tie_tol)
-
-
-_REQUIRED_FIELDS = {
-    "sphere": ("center", "radius"),
-    "ball": ("center", "radius"),
-    "box": ("min", "max"),
-    "halfspace": ("normal", "offset"),
-    "segment": ("a", "b"),
-    "points": ("coords",),
-    "union": ("members",),
+#: Set type -> (class, JSON field names in constructor order).
+_SPECS = {
+    "sphere": (Sphere, ("center", "radius")),
+    "ball": (Ball, ("center", "radius")),
+    "box": (Box, ("min", "max")),
+    "halfspace": (Halfspace, ("normal", "offset")),
+    "segment": (Segment, ("a", "b")),
+    "points": (PointCloud, ("coords",)),
+    "union": (Union, ("members",)),
 }
-
-
-def spec_to_dict(spec: ProjectorSpec) -> dict:
-    return spec.to_dict()
+_KIND_OF = {cls: (kind, names) for kind, (cls, names) in _SPECS.items()}
 
 
 def spec_from_dict(data, where: str = "spec") -> ProjectorSpec:
@@ -482,42 +480,23 @@ def spec_from_dict(data, where: str = "spec") -> ProjectorSpec:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
     kind = data.get("type")
-    if kind not in _REQUIRED_FIELDS:
+    if not isinstance(kind, str) or kind not in _SPECS:
         raise ValueError(f"{where}.type: unknown set type {kind!r}")
-    for name in _REQUIRED_FIELDS[kind]:
+    cls, names = _SPECS[kind]
+    for name in names:
         if name not in data:
             raise ValueError(f"{where}.{name}: missing field for type {kind!r}")
-    extra = set(data) - {"type", *_REQUIRED_FIELDS[kind]}
+    extra = set(data) - {"type", *names}
     if extra:
         raise ValueError(f"{where}: unknown fields {sorted(extra)} for type {kind!r}")
+    if cls is Union:
+        members = data["members"]
+        if not isinstance(members, list) or not members:
+            raise ValueError(f"{where}.members: expected a nonempty list")
+        args = [[spec_from_dict(m, f"{where}.members[{i}]") for i, m in enumerate(members)]]
+    else:
+        args = [data[name] for name in names]
     try:
-        if kind == "sphere":
-            return Sphere(data["center"], data["radius"])
-        if kind == "ball":
-            return Ball(data["center"], data["radius"])
-        if kind == "box":
-            return Box(data["min"], data["max"])
-        if kind == "halfspace":
-            return Halfspace(data["normal"], data["offset"])
-        if kind == "segment":
-            return Segment(data["a"], data["b"])
-        if kind == "points":
-            return PointCloud(data["coords"])
+        return cls(*args)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    members = data["members"]
-    if not isinstance(members, list) or not members:
-        raise ValueError(f"{where}.members: expected a nonempty list")
-    built = [spec_from_dict(m, f"{where}.members[{i}]") for i, m in enumerate(members)]
-    try:
-        return Union(built)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def spec_to_json(spec: ProjectorSpec) -> str:
-    return render_json(spec_to_dict(spec))
-
-
-def spec_from_json(text: str, where: str = "spec") -> ProjectorSpec:
-    return spec_from_dict(json.loads(text), where)

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import euclid
-from .euclid import DEFAULT_TIE_TOL, DegenerateProjection, ProjectorSpec
+from .euclid import DEFAULT_TIE_TOL, DegenerateProjection, ProjectorSpec, _finite, _integer
 from .serialize import render_json
 
 log = logging.getLogger(__name__)
@@ -49,7 +47,6 @@ CONTINUUM_STEP_FACTOR = 1e3
 CONTINUUM_SPREAD_FACTOR = 1e2
 
 __all__ = [
-    "ClusterStats",
     "MapConfig",
     "MapTrace",
     "ProjectionTie",
@@ -59,7 +56,6 @@ __all__ = [
     "VERDICT_CONTINUUM",
     "VERDICT_CONVERGED",
     "Verdict",
-    "cluster_diagnostics",
     "config_from_dict",
     "config_to_dict",
     "max_circular_gap",
@@ -78,30 +74,6 @@ class ProjectionTie(RuntimeError):
         self.iteration = iteration
         self.which = which
         self.count = count
-
-
-def _integer(name: str, value) -> int:
-    """`value` as an int; bools and non-integral numbers are rejected."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _finite(name: str, value) -> float:
-    """`value` as a finite float; bools and non-numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(eq=False)
@@ -248,39 +220,20 @@ def max_circular_gap(angles) -> float:
     return float(max(gaps.max(), wrap))
 
 
-@dataclass
-class ClusterStats:
-    radius_mean: float
-    radius_dev: float
-    angular_gap_max: float
-
-
-def cluster_diagnostics(trace: MapTrace, tail: int) -> ClusterStats:
-    """Radius statistics and the largest angular gap over the last `tail` a-iterates."""
-    if tail < 2:
-        raise ValueError(f"tail must be >= 2, got {tail}")
-    if tail > len(trace.a):
-        raise ValueError(f"tail {tail} exceeds trace length {len(trace.a)}")
-    pts = np.array(trace.a[-tail:])
-    radii = np.sqrt((pts ** 2).sum(axis=1))
-    angles = np.arctan2(pts[:, 1], pts[:, 0])
-    return ClusterStats(
-        radius_mean=float(radii.mean()),
-        radius_dev=float(radii.std()),
-        angular_gap_max=max_circular_gap(angles),
-    )
-
-
 def config_to_dict(config: MapConfig) -> dict:
     return {
-        "A": euclid.spec_to_dict(config.set_a),
-        "B": euclid.spec_to_dict(config.set_b),
+        "A": config.set_a.to_dict(),
+        "B": config.set_b.to_dict(),
         "start": config.start.tolist(),
         "max_iter": config.max_iter,
         "stop_step": config.stop_step,
         "tie_policy": config.tie_policy,
         "tie_tol": config.tie_tol,
     }
+
+
+#: The optional config fields; an absent one takes the MapConfig default.
+_OPTIONS = ("max_iter", "stop_step", "tie_policy", "tie_tol")
 
 
 def config_from_dict(data) -> MapConfig:
@@ -290,8 +243,7 @@ def config_from_dict(data) -> MapConfig:
     for name in ("A", "B", "start"):
         if name not in data:
             raise ValueError(f"config.{name}: missing field")
-    known = {"A", "B", "start", "max_iter", "stop_step", "tie_policy", "tie_tol"}
-    extra = set(data) - known
+    extra = set(data) - {"A", "B", "start", *_OPTIONS}
     if extra:
         raise ValueError(f"config: unknown fields {sorted(extra)}")
     set_a = euclid.spec_from_dict(data["A"], "config.A")
@@ -300,15 +252,10 @@ def config_from_dict(data) -> MapConfig:
         start = euclid.as_point(data["start"])
     except ValueError as exc:
         raise ValueError(f"config.start: {exc}") from exc
+    options = {name: data[name] for name in _OPTIONS if name in data}
     try:
-        return MapConfig(
-            set_a, set_b, start,
-            max_iter=data.get("max_iter", 1000),
-            stop_step=data.get("stop_step", 1e-12),
-            tie_policy=data.get("tie_policy", TIE_LOWEST_INDEX),
-            tie_tol=data.get("tie_tol", DEFAULT_TIE_TOL),
-        )
-    except (TypeError, ValueError) as exc:
+        return MapConfig(set_a, set_b, start, **options)
+    except ValueError as exc:
         raise ValueError(f"config: {exc}") from exc
 
 

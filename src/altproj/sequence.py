@@ -7,19 +7,23 @@ identities the construction guarantees: chord length equals step size, the
 half-angle chord identity, telescoping of the angle increments, strict
 monotonicity, and the nearest-point property (each iterate's closest
 neighbour among all others is its successor, with the unit sphere strictly
-farther).
+farther).  `run_verification` runs every check and reports each as a named
+pass/fail result.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from . import euclid, spiral
+from .serialize import fmt17
 
 __all__ = [
+    "CheckResult",
     "HalfAngleResiduals",
     "NearestPropertyViolated",
     "SequenceReport",
@@ -27,6 +31,7 @@ __all__ = [
     "check_step_identity",
     "generate",
     "records_to_json_obj",
+    "run_verification",
     "verify_nearest",
     "write_csv",
 ]
@@ -204,6 +209,91 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
         n = int(bad[0])
         raise NearestPropertyViolated(n, int(found[n]))
     return float(margins.min())
+
+
+def _fsum(values: np.ndarray) -> float:
+    # the same values in the same order as math.fsum(values.tolist()), without
+    # a full-length list of Python floats
+    step = spiral.CHUNK
+    return math.fsum(chain.from_iterable(
+        values[i:i + step].tolist() for i in range(0, values.size, step)))
+
+
+class CheckResult(NamedTuple):
+    name: str
+    passed: bool
+    detail: str
+
+
+def run_verification(report: SequenceReport,
+                     nearest_horizon: int | None = None) -> list[CheckResult]:
+    """Every sequence-level check, each returning a named pass/fail result.
+
+    The nearest-point check covers iterates up to `nearest_horizon` (default:
+    every iterate).  A failed check never stops the others: a unit sphere
+    that is not strictly farther than the successor fails both
+    `sphere-never-nearer` and `nearest-point`.
+    """
+    results: list[CheckResult] = []
+
+    def check(name: str, passed: bool, detail: str) -> None:
+        results.append(CheckResult(name, bool(passed), detail))
+
+    pts = report.points()
+    alphas = report.alphas()
+    epss = report.epss()
+    deltas = report.deltas()
+
+    eps0_closed = (1.0 - math.exp(-2.0 * math.pi)) / 2.0
+    check("initialization",
+          pts[0, 0] == 2.0 and pts[0, 1] == 0.0 and abs(epss[0] - eps0_closed) <= 1e-15,
+          f"x0=({fmt17(pts[0, 0])}, {fmt17(pts[0, 1])}), eps0 residual "
+          f"{abs(epss[0] - eps0_closed):.3e}")
+
+    chord = check_step_identity(report)
+    check("step-identity", chord <= 1e-10, f"max |chord - eps| = {chord:.3e}")
+
+    half = check_halfangle_identity(report)
+    check("half-angle-identity", half.raw <= 1e-10, f"max residual {half.raw:.3e}")
+    check("half-angle-identity-scaled", half.scaled <= 1e-12,
+          f"max residual {half.scaled:.3e}")
+
+    telescope = abs(_fsum(deltas) - (alphas[-1] - alphas[0]))
+    check("telescoping-delta-sum", telescope <= 1e-10, f"residual {telescope:.3e}")
+
+    if len(report) > 1:
+        ok = bool(np.all(deltas > 0.0) and np.all(deltas <= spiral.STEP_UPPER_BOUND))
+        check("step-bracket", ok,
+              f"delta range [{deltas.min():.6f}, {deltas.max():.6f}] rad, "
+              f"bound {spiral.STEP_UPPER_BOUND:.6f}")
+        check("eps-strictly-decreasing", bool(np.all(np.diff(epss) < 0.0)),
+              f"eps from {fmt17(epss[0])} to {fmt17(epss[-1])}")
+    else:
+        check("step-bracket", True, "single record")
+        check("eps-strictly-decreasing", True, "single record")
+
+    sphere_d = np.exp(-alphas)
+    gaps = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
+    gap_resid = float(np.abs(gaps - sphere_d).max())
+    check("sphere-gap", gap_resid <= 1e-12, f"max residual {gap_resid:.3e}")
+
+    sphere_margins = sphere_d - epss
+    nearer = np.flatnonzero(~(sphere_margins > 0.0))
+    check("sphere-never-nearer", not nearer.size, f"min margin {sphere_margins.min():.3e}")
+
+    horizon = len(report) - 1 if nearest_horizon is None else nearest_horizon
+    if nearer.size and nearer[0] <= horizon:
+        # verify_nearest presumes the sphere is farther: report, do not raise
+        check("nearest-point", False, "unit sphere is not strictly farther than the "
+                                      f"successor at iterate {nearer[0]}")
+    else:
+        try:
+            margin = verify_nearest(report, horizon)
+            check("nearest-point", margin > 0.0,
+                  f"min margin {margin:.3e} at horizon {horizon}")
+        except NearestPropertyViolated as exc:
+            check("nearest-point", False, str(exc))
+    return results
 
 
 def write_csv(report: SequenceReport, stream) -> None:

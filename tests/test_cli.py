@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import altproj
 from altproj import sequence
@@ -15,9 +21,9 @@ from altproj.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
-    run_verification,
 )
-from altproj.sequence import SequenceReport
+from altproj.map_driver import config_from_dict
+from altproj.sequence import SequenceReport, run_verification
 
 TWO_BOX_CONFIG = {
     "A": {"type": "box", "min": [0.0, 0.0], "max": [1.0, 1.0]},
@@ -121,6 +127,36 @@ def test_verify_cli_exits_nonzero_on_corruption(monkeypatch, capsys, report_300)
     assert "FAIL step-identity" in capsys.readouterr().out
 
 
+def test_verify_reports_a_nearer_sphere_as_failed_checks(monkeypatch, capsys, report_300):
+    assert main(["verify", "--horizon", "300"]) == EXIT_OK
+    names = [line.split(":")[0].split()[1] for line in capsys.readouterr().out.splitlines()]
+    epss = report_300.epss().copy()
+    epss[100] = 1.0  # the unit sphere is nearer than this step size
+    bad = SequenceReport(report_300.alphas().copy(), report_300.rhos().copy(), epss,
+                         report_300.points().copy(), False)
+    monkeypatch.setattr(sequence, "generate", lambda n: bad)
+    assert main(["verify", "--horizon", "300"]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0].split()[1] for line in lines] == names
+    assert any(line.startswith("FAIL sphere-never-nearer: ") for line in lines)
+    assert any(line.startswith("FAIL nearest-point: ") and line.endswith("iterate 100")
+               for line in lines)
+    # iterate 100 lies past a nearest horizon of 50, so only the sphere check fails there
+    assert main(["verify", "--horizon", "300", "--nearest-horizon", "50"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL sphere-never-nearer: ") for line in lines)
+    assert any(line.startswith("PASS nearest-point: ") for line in lines)
+
+
+def test_verify_rejects_negative_nearest_horizon(capsys):
+    assert main(["verify", "--horizon", "10", "--nearest-horizon", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --nearest-horizon must be >= 0\n"
+
+
 def test_run_two_boxes(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TWO_BOX_CONFIG))
@@ -192,6 +228,91 @@ def test_run_rejects_non_strict_numbers(tmp_path, capsys, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+_MALFORMED_SETS = {
+    "null-radius": ("A", {"type": "sphere", "center": [0.0, 0.0], "radius": None}),
+    "list-offset": ("A", {"type": "halfspace", "normal": [1.0, 0.0], "offset": [1]}),
+    "object-endpoint": ("A", {"type": "segment", "a": [0.0, 0.0], "b": {"x": 1}}),
+    "object-start": ("start", {"x": 1}),
+    "string-radius": ("A", {"type": "ball", "center": [0.0, 0.0], "radius": "1"}),
+    "string-center": ("A", {"type": "ball", "center": ["0", "0"], "radius": 1.0}),
+    "bool-coords": ("B", {"type": "points", "coords": [[True, False]]}),
+    "ragged-coords": ("B", {"type": "points", "coords": [[1.0, 0.0], [1.0]]}),
+    "list-type": ("B", {"type": ["box"], "min": [1.0, 0.0], "max": [2.0, 1.0]}),
+}
+
+
+@pytest.mark.parametrize("key, value", list(_MALFORMED_SETS.values()), ids=list(_MALFORMED_SETS))
+def test_run_rejects_malformed_set_fields(tmp_path, capsys, key, value):
+    config = tmp_path / "malformed.json"
+    config.write_text(json.dumps({**TWO_BOX_CONFIG, key: value}))
+    assert main(["run", "--config", str(config), "--trace-out", "-"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: config.{key}")
+
+
+# A valid config with every set type; each fuzz case replaces one field of it.
+_FUZZ_BASE = {
+    "A": {"type": "union", "members": [
+        {"type": "points", "coords": [[2.0, 0.0], [0.0, 2.0]]},
+        {"type": "sphere", "center": [0.0, 0.0], "radius": 1.0},
+        {"type": "segment", "a": [3.0, 0.0], "b": [3.0, 1.0]},
+        {"type": "halfspace", "normal": [0.0, 1.0], "offset": -5.0},
+    ]},
+    "B": {"type": "union", "members": [
+        {"type": "ball", "center": [0.0, 0.0], "radius": 0.5},
+        {"type": "box", "min": [4.0, 4.0], "max": [5.0, 5.0]},
+    ]},
+    "start": [3.0, 0.5],
+    "max_iter": 5,
+    "stop_step": 1e-12,
+    "tie_policy": "lowest_index",
+    "tie_tol": 1e-9,
+}
+
+
+def _field_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _field_paths(value, path + (key,))
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        for i, value in enumerate(node):
+            yield path + (i,)
+            yield from _field_paths(value, path + (i,))
+
+
+_FUZZ_PATHS = list(_field_paths(_FUZZ_BASE))
+_FUZZ_VALUES = [None, "1", "", True, False, [], [1.0], [[1.0, 2.0]], {}, {"x": 1},
+                [[1.0, 2.0], [1.0]], [1.0, [2.0]], [None, 1.0], ["0", "0"], 0, -1.0]
+
+
+@given(path=st.sampled_from(_FUZZ_PATHS), value=st.sampled_from(_FUZZ_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_rejected_configs_exit_2_with_one_line(path, value):
+    data = copy.deepcopy(_FUZZ_BASE)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        config_from_dict(data)
+    except ValueError:
+        pass
+    else:
+        return  # accepted: nothing to check
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config), "--trace-out", "-"])
+    assert code == EXIT_USAGE
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
 
 
 def test_run_degenerate_projection(tmp_path):

@@ -170,11 +170,11 @@ def test_set_membership_fuzz(report_300):
     pts = report_300.points()
     rng = np.random.default_rng(5)
     for theta in rng.uniform(0.0, 2.0 * math.pi, 50).tolist():
-        assert sets.set_a.contains([math.cos(theta), math.sin(theta)])
-        assert sets.set_b.contains([math.cos(theta), math.sin(theta)])
+        assert sets.set_a.distance([math.cos(theta), math.sin(theta)]) <= 1e-9
+        assert sets.set_b.distance([math.cos(theta), math.sin(theta)]) <= 1e-9
     for i in rng.integers(0, 300, 50).tolist():
         target = sets.set_a if i % 2 == 0 else sets.set_b
         other = sets.set_b if i % 2 == 0 else sets.set_a
-        assert target.contains(pts[i])
-        assert not other.contains(pts[i])
-    assert not sets.set_a.contains([5.0, 5.0])
+        assert target.distance(pts[i]) <= 1e-9
+        assert other.distance(pts[i]) > 1e-9
+    assert sets.set_a.distance([5.0, 5.0]) > 1e-9

@@ -19,34 +19,30 @@ from altproj.euclid import (
     Sphere,
     Union,
     as_point,
-    distance,
-    project,
     spec_from_dict,
-    spec_from_json,
-    spec_to_dict,
-    spec_to_json,
 )
+from altproj.serialize import render_json
 from conftest import nearest_in_cloud
 
 O2 = np.zeros(2)
 
 
 def test_sphere_distance_radial():
-    assert distance(Sphere(O2, 1.0), [2.0, 0.0]) == 1.0
+    assert Sphere(O2, 1.0).distance([2.0, 0.0]) == 1.0
 
 
 def test_sphere_distance_at_spiral_start():
     # the spiral starts at (2, 0); its distance to the unit sphere is exp(-0) = 1
-    assert distance(Sphere(O2, 1.0), [2.0, 0.0]) == math.exp(-0.0)
+    assert Sphere(O2, 1.0).distance([2.0, 0.0]) == math.exp(-0.0)
 
 
 def test_union_of_point_cloud_distance():
     spec = Union([PointCloud([[0.0, 0.0], [3.0, 0.0]])])
-    assert distance(spec, [1.0, 0.0]) == 1.0
+    assert spec.distance([1.0, 0.0]) == 1.0
 
 
 def test_ball_projection_radial():
-    res = project(Ball(O2, 1.0), [2.0, 0.0])
+    res = Ball(O2, 1.0).project([2.0, 0.0])
     assert len(res.candidates) == 1
     np.testing.assert_array_equal(res.candidates[0], [1.0, 0.0])
     assert res.distance == 1.0
@@ -54,7 +50,7 @@ def test_ball_projection_radial():
 
 
 def test_point_cloud_symmetric_tie_is_multivalued():
-    res = project(PointCloud([[0.0, 0.0], [3.0, 0.0]]), [1.5, 0.0])
+    res = PointCloud([[0.0, 0.0], [3.0, 0.0]]).project([1.5, 0.0])
     assert res.multivalued
     assert len(res.candidates) == 2
     np.testing.assert_array_equal(res.candidates[0], [0.0, 0.0])
@@ -65,20 +61,20 @@ def test_union_sphere_and_tail_cloud_projects_to_successor():
     report = sequence.generate(80)
     pts = report.points()
     spec = Union([Sphere(O2, 1.0), PointCloud(pts[1:])])
-    res = project(spec, pts[0])
+    res = spec.project(pts[0])
     assert len(res.candidates) == 1
     np.testing.assert_array_equal(res.candidates[0], pts[1])
 
 
 def test_ball_inside_point_is_fixed():
-    res = project(Ball(O2, 1.0), [0.25, 0.25])
+    res = Ball(O2, 1.0).project([0.25, 0.25])
     np.testing.assert_array_equal(res.candidates[0], [0.25, 0.25])
     assert res.distance == 0.0
 
 
 def test_box_projection_clamps():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    res = project(box, [3.0, 0.5])
+    res = box.project([3.0, 0.5])
     np.testing.assert_array_equal(res.candidates[0], [1.0, 0.5])
     assert res.distance == 2.0
 
@@ -86,36 +82,36 @@ def test_box_projection_clamps():
 def test_halfspace_projection():
     # the set {x <= 1} from the right
     hs = Halfspace([1.0, 0.0], 1.0)
-    res = project(hs, [3.0, 0.7])
+    res = hs.project([3.0, 0.7])
     np.testing.assert_array_equal(res.candidates[0], [1.0, 0.7])
     assert res.distance == 2.0
-    assert distance(hs, [0.0, 0.0]) == 0.0
+    assert hs.distance([0.0, 0.0]) == 0.0
 
 
 def test_segment_projection_endpoints_and_interior():
     seg = Segment([0.0, 0.0], [1.0, 0.0])
-    np.testing.assert_array_equal(project(seg, [2.0, 0.0]).candidates[0], [1.0, 0.0])
-    np.testing.assert_array_equal(project(seg, [-1.0, 0.0]).candidates[0], [0.0, 0.0])
-    np.testing.assert_array_equal(project(seg, [0.5, 1.0]).candidates[0], [0.5, 0.0])
+    np.testing.assert_array_equal(seg.project([2.0, 0.0]).candidates[0], [1.0, 0.0])
+    np.testing.assert_array_equal(seg.project([-1.0, 0.0]).candidates[0], [0.0, 0.0])
+    np.testing.assert_array_equal(seg.project([0.5, 1.0]).candidates[0], [0.5, 0.0])
 
 
 def test_sphere_center_projection_is_degenerate():
     with pytest.raises(DegenerateProjection):
-        project(Sphere(O2, 1.0), [0.0, 0.0])
+        Sphere(O2, 1.0).project([0.0, 0.0])
     with pytest.raises(DegenerateProjection):
-        project(Sphere(O2, 1.0), [1e-13, 0.0])
+        Sphere(O2, 1.0).project([1e-13, 0.0])
 
 
 def test_ball_center_projection_is_fine():
-    res = project(Ball(O2, 1.0), [0.0, 0.0])
+    res = Ball(O2, 1.0).project([0.0, 0.0])
     np.testing.assert_array_equal(res.candidates[0], [0.0, 0.0])
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        distance(Sphere(O2, 1.0), [1.0, 2.0, 3.0])
+        Sphere(O2, 1.0).distance([1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatch):
-        project(Box([0.0], [1.0]), [0.5, 0.5])
+        Box([0.0], [1.0]).project([0.5, 0.5])
 
 
 def test_invalid_specs_rejected():
@@ -134,9 +130,9 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         as_point([1.0, math.nan])
     with pytest.raises(ValueError):
-        project(Sphere(O2, 1.0), [2.0, 0.0], tie_tol=0.0)
+        Sphere(O2, 1.0).project([2.0, 0.0], tie_tol=0.0)
     with pytest.raises(ValueError):
-        project(Sphere(O2, 1.0), [2.0, 0.0], tie_tol=math.inf)
+        Sphere(O2, 1.0).project([2.0, 0.0], tie_tol=math.inf)
 
 
 def test_nearest_in_cloud_basic():
@@ -202,8 +198,8 @@ def test_fuzz_projection_invariants():
         q = rng.normal(size=dim) * 3.0
         if isinstance(spec, Sphere) and np.linalg.norm(q - spec.center) < 1e-6:
             continue
-        d = distance(spec, q)
-        res = project(spec, q)
+        d = spec.distance(q)
+        res = spec.project(q)
         assert abs(res.distance - d) <= 1e-9
         assert res.multivalued == (len(res.candidates) > 1)
         for cand in res.candidates:
@@ -223,8 +219,8 @@ _CONVEX = [
 @settings(max_examples=150)
 def test_idempotence_on_convex_primitives(x, y):
     for spec in _CONVEX:
-        cand = project(spec, [x, y]).candidates[0]
-        again = project(spec, cand)
+        cand = spec.project([x, y]).candidates[0]
+        again = spec.project(cand)
         assert again.distance <= 1e-9
         assert np.linalg.norm(again.candidates[0] - cand) <= 1e-9
 
@@ -235,8 +231,8 @@ def test_nonexpansiveness_on_convex_primitives(px, py, qx, qy):
     p = np.array([px, py])
     q = np.array([qx, qy])
     for spec in _CONVEX:
-        pp = project(spec, p).candidates[0]
-        pq = project(spec, q).candidates[0]
+        pp = spec.project(p).candidates[0]
+        pq = spec.project(q).candidates[0]
         assert np.linalg.norm(pp - pq) <= np.linalg.norm(p - q) + 1e-9
 
 
@@ -255,12 +251,12 @@ def test_law_of_cosines_and_radial_bound(r, s, alpha, beta):
 
 def test_union_margin_across_members():
     spec = Union([PointCloud([[0.0, 0.0]]), PointCloud([[3.0, 0.0]])])
-    res = project(spec, [1.0, 0.0])
+    res = spec.project([1.0, 0.0])
     np.testing.assert_array_equal(res.candidates[0], [0.0, 0.0])
 
 
 def test_point_cloud_dedupes_coincident_points():
-    res = project(PointCloud([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), [0.0, 0.0])
+    res = PointCloud([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]).project([0.0, 0.0])
     assert len(res.candidates) == 1
     assert not res.multivalued
 
@@ -274,15 +270,15 @@ def test_json_round_trip_nested():
         Segment([0.0, 0.0], [1.0, 1.0]),
         Ball([0.5, 0.5], 2.0),
     ])
-    text = spec_to_json(spec)
-    back = spec_from_json(text)
-    assert spec_to_dict(back) == spec_to_dict(spec)
+    text = render_json(spec.to_dict())
+    back = spec_from_dict(json.loads(text))
+    assert back.to_dict() == spec.to_dict()
     # 17 significant digits round-trip binary64 exactly
     assert json.loads(text)["members"][3]["offset"] == 0.125
 
 
 def test_json_renders_17_significant_digits():
-    assert "0.10000000000000001" in spec_to_json(Sphere([0.1, 0.0], 1.0))
+    assert "0.10000000000000001" in render_json(Sphere([0.1, 0.0], 1.0).to_dict())
 
 
 def test_spec_from_dict_errors_carry_paths():
@@ -297,6 +293,54 @@ def test_spec_from_dict_errors_carry_paths():
         ]})
     with pytest.raises(ValueError, match="unknown fields"):
         spec_from_dict({"type": "ball", "center": [0, 0], "radius": 1.0, "extra": 1})
+
+
+def test_to_dict_keys_follow_the_constructor():
+    spec = Union([
+        Sphere([0.0, 0.0], 1.0),
+        Ball([0.5, 0.5], 2.0),
+        Box([-1.0, -1.0], [1.0, 1.0]),
+        Halfspace([0.0, 1.0], 0.125),
+        Segment([0.0, 0.0], [1.0, 1.0]),
+        PointCloud([[2.0, 0.0]]),
+    ])
+    data = spec.to_dict()
+    assert list(data) == ["type", "members"]
+    assert [list(m) for m in data["members"]] == [
+        ["type", "center", "radius"], ["type", "center", "radius"], ["type", "min", "max"],
+        ["type", "normal", "offset"], ["type", "a", "b"], ["type", "coords"]]
+    assert data["members"][1] == {"type": "ball", "center": [0.5, 0.5], "radius": 2.0}
+
+
+_LOOSE_FIELDS = [
+    ({"type": "sphere", "center": [0, 0], "radius": None}, "radius must be a number"),
+    ({"type": "sphere", "center": [0, 0], "radius": "1"}, "radius must be a number"),
+    ({"type": "ball", "center": [0, 0], "radius": True}, "radius must be a number"),
+    ({"type": "ball", "center": [0, 0], "radius": 1e999}, "radius must be finite"),
+    ({"type": "halfspace", "normal": [1, 0], "offset": [1]}, "offset must be a number"),
+    ({"type": "ball", "center": ["0", "0"], "radius": 1.0}, "got string values"),
+    ({"type": "box", "min": [None, 0], "max": [1, 1]}, "got non-numeric values"),
+    ({"type": "segment", "a": [0, 0], "b": {"x": 1}}, "got non-numeric values"),
+    ({"type": "points", "coords": [[True, False]]}, "got bool values"),
+    ({"type": "points", "coords": [[1.0, 0.0], [1.0]]}, "got a ragged list"),
+    ({"type": "points", "coords": [1.0, 0.0]}, "got shape"),
+    ({"type": "points", "coords": [[1.0, math.nan]]}, "must be finite"),
+]
+
+
+@pytest.mark.parametrize("data, message", _LOOSE_FIELDS)
+def test_spec_from_dict_reads_numbers_strictly(data, message):
+    with pytest.raises(ValueError, match=message):
+        spec_from_dict(data)
+
+
+def test_spec_reader_accepts_integers_and_copies():
+    coords = np.array([[1, 2], [3, 4]])
+    cloud = spec_from_dict({"type": "points", "coords": coords})
+    assert cloud.points.dtype == np.float64
+    coords[0, 0] = 9
+    assert cloud.points[0, 0] == 1.0
+    assert spec_from_dict({"type": "sphere", "center": [0, 0], "radius": 2}).radius == 2.0
 
 
 def _oracle_dedupe(points, tol):
@@ -376,25 +420,25 @@ def test_indexed_projection_matches_brute_force(dim, n, seed, layout, tol, parts
                               float(rng.choice([0.5, 1.0, 2.0]))))
     for q in queries:
         expected = _oracle([cloud], q, tol)
-        _assert_matches_oracle(project(cloud, q, tol), expected)
-        assert distance(cloud, q) == expected[0]
+        _assert_matches_oracle(cloud.project(q, tol), expected)
+        assert cloud.distance(q) == expected[0]
         if with_sphere and np.linalg.norm(q - members[-1].center) <= 1e-12:
             continue  # the sphere center: covered by the degenerate test below
-        _assert_matches_oracle(project(Union(members), q, tol), _oracle(members, q, tol))
+        _assert_matches_oracle(Union(members).project(q, tol), _oracle(members, q, tol))
 
 
 def test_union_sphere_center_degenerate_only_among_minimizers():
     cloud = PointCloud([[3.0, 0.0], [0.25, 0.0], [0.0, 2.0]])
     sphere = Sphere(O2, 1.0)
-    res = project(Union([cloud, sphere]), [0.0, 0.0])
+    res = Union([cloud, sphere]).project([0.0, 0.0])
     assert len(res.candidates) == 1
     np.testing.assert_array_equal(res.candidates[0], [0.25, 0.0])
     assert res.distance == 0.25
-    assert distance(Union([sphere, PointCloud([[3.0, 0.0]])]), [0.0, 0.0]) == 1.0
+    assert Union([sphere, PointCloud([[3.0, 0.0]])]).distance([0.0, 0.0]) == 1.0
     with pytest.raises(DegenerateProjection):
-        project(Union([PointCloud([[3.0, 0.0]]), sphere]), [0.0, 0.0])
+        Union([PointCloud([[3.0, 0.0]]), sphere]).project([0.0, 0.0])
     with pytest.raises(DegenerateProjection):
-        project(Union([Union([sphere]), PointCloud([[3.0, 0.0]])]), [0.0, 0.0])
+        Union([Union([sphere]), PointCloud([[3.0, 0.0]])]).project([0.0, 0.0])
 
 
 def _two_leaf_cloud(left, right):
@@ -421,7 +465,7 @@ def test_search_visits_beyond_the_leaf_with_the_smallest_bound():
     expected = _oracle([cloud], q, 1e-9)
     np.testing.assert_array_equal(expected[1][0], cloud.points[LEAF_SIZE])  # `right`
     assert LEAF_SIZE not in index.ids[first]
-    _assert_matches_oracle(project(cloud, q, 1e-9), expected)
+    _assert_matches_oracle(cloud.project(q, 1e-9), expected)
 
 
 def test_search_gathers_a_tie_split_across_leaves():
@@ -435,6 +479,6 @@ def test_search_gathers_a_tie_split_across_leaves():
     first = int(bounds.argmin())
     d = float(_oracle([PointCloud(index.points[first])], q, tol)[0])
     assert d < bounds[1 - first] <= d + tol
-    res = project(cloud, q, tol)
+    res = cloud.project(q, tol)
     _assert_matches_oracle(res, _oracle([cloud], q, tol))
     assert res.multivalued

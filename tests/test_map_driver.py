@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altproj import counterexample, map_driver
 from altproj.euclid import (
@@ -17,14 +19,13 @@ from altproj.euclid import (
 )
 from altproj.map_driver import (
     TIE_ERROR,
+    TIE_LOWEST_INDEX,
     VERDICT_BUDGET,
     VERDICT_CONTINUUM,
     VERDICT_CONVERGED,
-    ClusterStats,
     MapConfig,
     MapTrace,
     ProjectionTie,
-    cluster_diagnostics,
     config_from_dict,
     config_to_dict,
     max_circular_gap,
@@ -236,25 +237,49 @@ def test_max_circular_gap():
         max_circular_gap([])
 
 
-def test_cluster_diagnostics_converged_run():
+def _tail_angles_and_radii(trace):
+    pts = np.array(trace.a)
+    return np.arctan2(pts[:, 1], pts[:, 0]), np.sqrt((pts ** 2).sum(axis=1))
+
+
+def test_converged_run_tail_is_one_point():
     box = Box([0.0, 0.0], [1.0, 1.0])
     trace = run(MapConfig(box, box, [3.0, 0.5], max_iter=6, stop_step=0.0))
-    stats = cluster_diagnostics(trace, tail=6)
-    assert isinstance(stats, ClusterStats)
-    assert stats.angular_gap_max == pytest.approx(2.0 * math.pi)
-    assert stats.radius_dev == pytest.approx(0.0, abs=1e-15)
+    angles, radii = _tail_angles_and_radii(trace)
+    assert max_circular_gap(angles) == pytest.approx(2.0 * math.pi)
+    assert radii.std() == pytest.approx(0.0, abs=1e-15)
 
 
-def test_cluster_diagnostics_two_distinct_points():
+def test_circular_gap_of_two_trace_points():
     trace = MapTrace(a=[np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    stats = cluster_diagnostics(trace, tail=2)
-    assert stats.angular_gap_max == pytest.approx(1.5 * math.pi)
-    assert stats.radius_mean == pytest.approx(1.0)
+    angles, radii = _tail_angles_and_radii(trace)
+    assert max_circular_gap(angles) == pytest.approx(1.5 * math.pi)
+    assert radii.mean() == pytest.approx(1.0)
 
 
-def test_cluster_diagnostics_validates_tail():
-    trace = MapTrace(a=[np.array([1.0, 0.0])])
-    with pytest.raises(ValueError):
-        cluster_diagnostics(trace, tail=1)
-    with pytest.raises(ValueError):
-        cluster_diagnostics(trace, tail=2)
+@given(dim=st.integers(1, 4), n_a=st.integers(1, 70), n_b=st.integers(1, 70),
+       seed=st.integers(0, 2**32 - 1), grid=st.booleans(),
+       policy=st.sampled_from([TIE_LOWEST_INDEX, TIE_ERROR]),
+       stop_step=st.sampled_from([0.0, 1e-12, 1e-3, 0.5]), max_iter=st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_point_cloud_pairs_never_raise(dim, n_a, n_b, seed, grid, policy, stop_step,
+                                            max_iter):
+    # On a half-integer grid, duplicates and exact distance ties are common.
+    rng = np.random.default_rng(seed)
+
+    def cloud(n):
+        return rng.integers(-2, 3, size=(n, dim)) * 0.5 if grid else rng.normal(size=(n, dim))
+
+    config = MapConfig(PointCloud(cloud(n_a)), PointCloud(cloud(n_b)), cloud(1)[0],
+                       max_iter=max_iter, stop_step=stop_step, tie_policy=policy)
+    try:
+        trace = run(config)
+    except ProjectionTie:
+        assert policy == TIE_ERROR
+        return
+    verdict = trace.verdict
+    assert verdict.kind in (VERDICT_CONVERGED, VERDICT_CONTINUUM, VERDICT_BUDGET)
+    assert verdict.iterations_used == len(trace.a) <= max_iter
+    assert (verdict.angular_spread is not None) == (verdict.kind == VERDICT_CONTINUUM
+                                                    and dim == 2)
+    json.loads(trace_to_json(trace))
