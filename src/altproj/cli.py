@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import sys
@@ -73,14 +72,7 @@ def _cmd_run(args) -> int:
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = map_driver.config_from_dict(data)
-    try:
-        trace = map_driver.run(config)
-    except euclid.DegenerateProjection as exc:
-        print(f"degenerate projection: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except map_driver.ProjectionTie as exc:
-        print(f"projection tie: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    trace = map_driver.run(config)
     with _open_out(args.trace_out) as out:
         out.write(map_driver.trace_to_json(trace) + "\n")
     v = trace.verdict
@@ -106,12 +98,10 @@ def _cmd_plot(args) -> int:
 
 def _cmd_union_batch(args) -> int:
     seeds = range(args.seed_start, args.seed_start + args.seeds)
-    buffer = io.StringIO()
-    counts = finite_union.run_batch(seeds, dim=args.dim,
-                                    members_per_side=args.members,
-                                    tol=args.tol, stream=buffer)
     with _open_out(args.out) as out:
-        out.write(buffer.getvalue())
+        counts = finite_union.run_batch(seeds, dim=args.dim,
+                                        members_per_side=args.members,
+                                        tol=args.tol, stream=out)
     print(f"pass={counts['pass']} hypotheses_not_met={counts['hypotheses_not_met']} "
           f"fail={counts['fail']}")
     return EXIT_CHECK_FAILED if counts["fail"] else EXIT_OK
@@ -129,15 +119,30 @@ def _cmd_export_sets(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return n
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach `main` as a ValueError."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _checked(kind, ok, bound: str):
+    """An argparse type: `kind(text)`, rejected unless `ok` holds for it."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda value: value >= low, f">= {low}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="altproj",
         description="Alternating projections, exact set-valued projectors, and the "
                     "spiral iterate sequence clustering on the unit circle.",
@@ -145,14 +150,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate the iterate sequence")
-    p.add_argument("--n", type=_positive_int, required=True, help="number of iterates")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of iterates")
     p.add_argument("--out", default="-", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="run identity and nearest-point checks")
-    p.add_argument("--horizon", type=int, required=True, help="number of iterates (>= 2)")
-    p.add_argument("--nearest-horizon", type=int, default=0,
+    p.add_argument("--horizon", type=_int_at_least(2), required=True,
+                   help="number of iterates (>= 2)")
+    p.add_argument("--nearest-horizon", type=_int_at_least(0), default=0,
                    help="check the nearest-point property only up to this iterate "
                         "(default horizon - 1, every iterate)")
     p.set_defaults(func=_cmd_verify)
@@ -163,55 +169,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("plot", help="render the spiral figure as SVG")
-    p.add_argument("--n", type=int, required=True, help="number of iterates (>= 2)")
+    p.add_argument("--n", type=_int_at_least(2), required=True, help="number of iterates (>= 2)")
     p.add_argument("--out", default="-", help="SVG output path (default stdout)")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("union-batch", help="seeded finite-union scenarios")
-    p.add_argument("--seeds", type=_positive_int, required=True, help="number of seeds")
-    p.add_argument("--seed-start", type=int, default=0)
+    p.add_argument("--seeds", type=_int_at_least(1), required=True, help="number of seeds")
+    p.add_argument("--seed-start", type=_int_at_least(0), default=0)
     p.add_argument("--dim", type=int, default=2, choices=(2, 3, 4))
     p.add_argument("--members", type=int, default=3, choices=(1, 2, 3, 4),
                    help="max convex members per side")
-    p.add_argument("--tol", type=float, default=finite_union.DEFAULT_TOL)
+    p.add_argument("--tol", type=_checked(float, lambda tol: 0.0 < tol < math.inf,
+                                          "finite and > 0"),
+                   default=finite_union.DEFAULT_TOL)
     p.add_argument("--out", default="-", help="JSON-lines output path")
     p.set_defaults(func=_cmd_union_batch)
 
     p = sub.add_parser("export-sets", help="export the nonconvex pair as a run config")
-    p.add_argument("--horizon", type=_positive_int, required=True,
-                   help="number of iterates split between the two sets")
+    p.add_argument("--horizon", type=_int_at_least(3), required=True,
+                   help="number of iterates split between the two sets (>= 3)")
     p.add_argument("--variant", choices=(counterexample.VARIANT_SPHERE,
                                          counterexample.VARIANT_DISK),
                    default=counterexample.VARIANT_SPHERE)
-    p.add_argument("--pairs", type=int, default=0,
+    p.add_argument("--pairs", type=_int_at_least(0), default=0,
                    help="projection pairs to run (default: largest safe count)")
-    p.add_argument("--stop-step", type=float, default=1e-6)
+    p.add_argument("--stop-step", type=_checked(float, lambda step: 0.0 <= step < math.inf,
+                                                "finite and >= 0"), default=1e-6)
     p.add_argument("--out", default="-", help="config JSON output path")
     p.set_defaults(func=_cmd_export_sets)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "verify" and args.horizon < 2:
-        print("error: --horizon must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "verify" and args.nearest_horizon < 0:
-        print("error: --nearest-horizon must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "plot" and args.n < 2:
-        print("error: --n must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "union-batch" and not (0.0 < args.tol < math.inf):
-        print(f"error: --tol must be finite and > 0, got {args.tol!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except spiral.BracketInvalid as exc:
+    except (spiral.BracketInvalid, euclid.DegenerateProjection, map_driver.ProjectionTie) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -8,12 +8,13 @@ distance, and the full set of nearest points.
 Projection is genuinely set-valued: `project` returns every minimizer whose
 distance is within `tie_tol` of the optimum, and flags multivaluedness
 instead of silently picking a representative.  Every query is one pass over
-the set; point clouds answer it through a lazily built leaf index that
-visits the nearest leaf and then, in one batch, every leaf within `tie_tol`
-of that leaf's smallest distance, so it returns exactly the distance and
-candidates a full scan would.  The one deliberately fatal
-case is projecting the center of a sphere, where the minimizer set is the
-whole sphere: that raises `DegenerateProjection`.
+the set, and one type, `ProjectionResult`, carries its outcome from each
+set's pass through unions and `project` to the caller.  Point clouds answer
+it through a lazily built leaf index that visits the nearest leaf and then,
+in one batch, every leaf within `tie_tol` of that leaf's smallest distance,
+so it returns exactly the distance and candidates a full scan would.  The
+one deliberately fatal case is projecting the center of a sphere, where the
+minimizer set is the whole sphere: that raises `DegenerateProjection`.
 
 All operations are pure functions of their inputs; instances are treated as
 immutable after construction.
@@ -21,6 +22,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -94,14 +96,16 @@ def _finite(name: str, value) -> float:
 
 
 _EXPECTED = "{} must be a nonempty {}-D list of numbers, got {}"
+_BOOL_TYPES = frozenset({bool, np.bool_})
 
 
 def _coords(values, ndim: int, what: str) -> np.ndarray:
     """`values` as a new finite float64 array of `ndim` nonempty axes.
 
     The array is built once and only integer or float element types pass,
-    so strings, bools, None, objects and ragged nestings are all rejected
-    without a per-element loop.
+    so strings, bools, None, objects and ragged nestings are all rejected.
+    numpy promotes a bool mixed with numbers to 0 or 1, so list input is
+    also scanned for bool elements; numpy arrays skip that scan.
     """
     try:
         arr = np.asarray(values)
@@ -112,6 +116,10 @@ def _coords(values, ndim: int, what: str) -> np.ndarray:
         raise ValueError(_EXPECTED.format(what, ndim, f"{got} values"))
     if arr.ndim != ndim or 0 in arr.shape:
         raise ValueError(_EXPECTED.format(what, ndim, f"shape {arr.shape}"))
+    if not isinstance(values, np.ndarray):
+        flat = values if ndim == 1 else itertools.chain.from_iterable(values)
+        if not _BOOL_TYPES.isdisjoint(map(type, flat)):
+            raise ValueError(_EXPECTED.format(what, ndim, "bool values"))
     arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} coordinates must be finite")
@@ -149,32 +157,22 @@ def _dedupe(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return kept
 
 
-@dataclass(eq=False)
-class ProjectionResult:
-    """All nearest points of a set to a query.
+class ProjectionResult(NamedTuple):
+    """All nearest points of a set to a query, the outcome of one pass.
 
     `candidates` holds every minimizer within `tie_tol` of the optimal
-    `distance`; `multivalued` is set when there is more than one.
-    """
-
-    candidates: list[np.ndarray]
-    distance: float
-    multivalued: bool
-
-
-class _Hit(NamedTuple):
-    """The outcome of one projection pass over a set.
-
-    `candidates` is None when the minimizer set is a continuum (a sphere
-    queried at its center).
+    `distance`.  It is None only when the minimizer set is a continuum (a
+    sphere queried at its center); `project` raises `DegenerateProjection`
+    then, so every result it returns has a candidate list.
     """
 
     distance: float
     candidates: Optional[list]
 
-
-def _single(candidate: np.ndarray, dist: float) -> _Hit:
-    return _Hit(dist, [candidate])
+    @property
+    def multivalued(self) -> bool:
+        """Whether the set has more than one nearest point to the query."""
+        return len(self.candidates) > 1
 
 
 class ProjectorSpec:
@@ -205,14 +203,14 @@ class ProjectorSpec:
             if not (0.0 < tie_tol < math.inf):
                 raise ValueError(f"tie_tol must be finite and positive, got {tie_tol!r}")
             q = self._check_query(q)
-        hit = self._nearest(q, tie_tol)
-        if hit.candidates is None:
+        result = self._nearest(q, tie_tol)
+        if result.candidates is None:
             raise DegenerateProjection(
                 "projection of the sphere center: the minimizer set is the whole sphere"
             )
-        return ProjectionResult(hit.candidates, hit.distance, len(hit.candidates) > 1)
+        return result
 
-    def _nearest(self, q: np.ndarray, tie_tol: float) -> _Hit:
+    def _nearest(self, q: np.ndarray, tie_tol: float) -> ProjectionResult:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -242,8 +240,8 @@ class Sphere(ProjectorSpec):
         d = _norm(diff)
         dist = abs(d - self.radius)
         if d <= _CENTER_TOL:
-            return _Hit(dist, None)
-        return _single(_radial_point(self.center, self.radius, diff, d), dist)
+            return ProjectionResult(dist, None)
+        return ProjectionResult(dist, [_radial_point(self.center, self.radius, diff, d)])
 
 
 @dataclass(eq=False)
@@ -262,8 +260,9 @@ class Ball(ProjectorSpec):
         diff = q - self.center
         d = _norm(diff)
         if d <= self.radius:
-            return _single(q.copy(), 0.0)
-        return _single(_radial_point(self.center, self.radius, diff, d), d - self.radius)
+            return ProjectionResult(0.0, [q.copy()])
+        return ProjectionResult(d - self.radius,
+                                [_radial_point(self.center, self.radius, diff, d)])
 
 
 @dataclass(eq=False)
@@ -282,7 +281,7 @@ class Box(ProjectorSpec):
 
     def _nearest(self, q, tie_tol):
         cand = np.clip(q, self.lo, self.hi)
-        return _single(cand, _norm(q - cand))
+        return ProjectionResult(_norm(q - cand), [cand])
 
 
 @dataclass(eq=False)
@@ -302,8 +301,8 @@ class Halfspace(ProjectorSpec):
     def _nearest(self, q, tie_tol):
         s = float(np.dot(self.normal, q)) - self.offset
         if s <= 0.0:
-            return _single(q.copy(), 0.0)
-        return _single(q - s * self.normal, s)
+            return ProjectionResult(0.0, [q.copy()])
+        return ProjectionResult(s, [q - s * self.normal])
 
 
 @dataclass(eq=False)
@@ -329,7 +328,7 @@ class Segment(ProjectorSpec):
 
     def _nearest(self, q, tie_tol):
         cand = self._closest(q)
-        return _single(cand, _norm(q - cand))
+        return ProjectionResult(_norm(q - cand), [cand])
 
 
 def _dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -434,7 +433,7 @@ class PointCloud(ProjectorSpec):
         dists, ids = self._index.search(q, tie_tol)
         dmin = float(dists.min())
         near = sorted(set(ids[dists <= dmin + tie_tol].tolist()))
-        return _Hit(dmin, _dedupe([self.points[i].copy() for i in near], tie_tol))
+        return ProjectionResult(dmin, _dedupe([self.points[i].copy() for i in near], tie_tol))
 
 
 @dataclass(eq=False)
@@ -451,12 +450,12 @@ class Union(ProjectorSpec):
         self.dim = self.members[0].dim
 
     def _nearest(self, q, tie_tol):
-        hits = [m._nearest(q, tie_tol) for m in self.members]
-        dmin = min(h.distance for h in hits)
-        near = [h.candidates for h in hits if h.distance <= dmin + tie_tol]
+        results = [m._nearest(q, tie_tol) for m in self.members]
+        dmin = min(r.distance for r in results)
+        near = [r.candidates for r in results if r.distance <= dmin + tie_tol]
         if None in near:  # a sphere queried at its center is among the minimizers
-            return _Hit(dmin, None)
-        return _Hit(dmin, _dedupe([p for cands in near for p in cands], tie_tol))
+            return ProjectionResult(dmin, None)
+        return ProjectionResult(dmin, _dedupe([p for cands in near for p in cands], tie_tol))
 
     def to_dict(self):
         return {"type": "union", "members": [m.to_dict() for m in self.members]}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -125,24 +125,21 @@ class MapTrace:
     verdict: Optional[Verdict] = None
 
 
-def _select(result, which: str, iteration: int, policy: str, events: list) -> np.ndarray:
+def _step(spec: ProjectorSpec, point: np.ndarray, which: str, iteration: int,
+          config: MapConfig, events: list) -> np.ndarray:
+    # The config checked dimensions, finiteness and tie_tol once, and every
+    # later query point is a projection, so the per-query checks are skipped.
+    try:
+        result = spec.project(point, config.tie_tol, validate=False)
+    except DegenerateProjection as exc:
+        raise DegenerateProjection(f"set {which}, iteration {iteration}: {exc}") from exc
     if result.multivalued:
         events.append((iteration, which))
-        if policy == TIE_ERROR:
+        if config.tie_policy == TIE_ERROR:
             raise ProjectionTie(iteration, which, len(result.candidates))
         log.debug("multivalued projection onto %s at iteration %d: %d candidates, "
                   "picking the first", which, iteration, len(result.candidates))
     return result.candidates[0]
-
-
-def _project(spec: ProjectorSpec, point: np.ndarray, tie_tol: float, which: str,
-             iteration: int):
-    # The config checked dimensions, finiteness and tie_tol once, and every
-    # later query point is a projection, so the per-query checks are skipped.
-    try:
-        return spec.project(point, tie_tol, validate=False)
-    except DegenerateProjection as exc:
-        raise DegenerateProjection(f"set {which}, iteration {iteration}: {exc}") from exc
 
 
 def _max_pairwise(points: list[np.ndarray]) -> float:
@@ -160,13 +157,11 @@ def run(config: MapConfig) -> MapTrace:
     stop = config.stop_step
     stopped = False
     for n in range(config.max_iter):
-        a = _select(_project(config.set_a, b_prev, config.tie_tol, "A", n), "A", n,
-                    config.tie_policy, trace.multivalued_events)
+        a = _step(config.set_a, b_prev, "A", n, config, trace.multivalued_events)
         d_in = euclid._norm(a - b_prev)
         if n >= 1:
             trace.step_ba.append(d_in)
-        b = _select(_project(config.set_b, a, config.tie_tol, "B", n), "B", n,
-                    config.tie_policy, trace.multivalued_events)
+        b = _step(config.set_b, a, "B", n, config, trace.multivalued_events)
         d_ab = euclid._norm(b - a)
         trace.step_ab.append(d_ab)
         trace.a.append(a)
@@ -260,18 +255,15 @@ def config_from_dict(data) -> MapConfig:
 
 
 def trace_to_json(trace: MapTrace) -> str:
-    verdict = trace.verdict
-    vd: dict = {"kind": verdict.kind, "iterations_used": verdict.iterations_used}
-    if verdict.limit is not None:
-        vd["limit"] = verdict.limit.tolist()
-    if verdict.ring_radius_estimate is not None:
-        vd["ring_radius_estimate"] = verdict.ring_radius_estimate
-    if verdict.angular_spread is not None:
-        vd["angular_spread"] = verdict.angular_spread
+    verdict = {}
+    for f in fields(Verdict):  # declaration order; absent evidence is left out
+        value = getattr(trace.verdict, f.name)
+        if value is not None:
+            verdict[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return render_json({
         "a": [p.tolist() for p in trace.a],
         "b": [p.tolist() for p in trace.b],
         "steps": {"ab": trace.step_ab, "ba": trace.step_ba},
         "multivalued_events": [[i, w] for i, w in trace.multivalued_events],
-        "verdict": vd,
+        "verdict": verdict,
     })

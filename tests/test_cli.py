@@ -154,7 +154,45 @@ def test_verify_rejects_negative_nearest_horizon(capsys):
     assert main(["verify", "--horizon", "10", "--nearest-horizon", "-1"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --nearest-horizon must be >= 0\n"
+    assert captured.err == "error: argument --nearest-horizon: must be >= 0, got -1\n"
+
+
+_BAD_ARGV = {
+    "gen-zero-n": (["gen", "--n", "0"], "--n"),
+    "verify-without-horizon": (["verify"], "--horizon"),
+    "verify-float-horizon": (["verify", "--horizon", "1e5"], "--horizon"),
+    "union-batch-bad-dim": (["union-batch", "--seeds", "2", "--dim", "5"], "--dim"),
+    "union-batch-negative-seed-start": (["union-batch", "--seeds", "2", "--seed-start", "-5"],
+                                        "--seed-start"),
+    "unknown-command": (["bogus"], "bogus"),
+    "export-sets-tiny-horizon": (["export-sets", "--horizon", "2"], "--horizon"),
+    "export-sets-negative-pairs": (["export-sets", "--horizon", "100", "--pairs", "-3"],
+                                   "--pairs"),
+    "export-sets-nan-stop-step": (["export-sets", "--horizon", "100", "--stop-step", "nan"],
+                                  "--stop-step"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", list(_BAD_ARGV.values()), ids=list(_BAD_ARGV))
+def test_bad_argv_gives_one_line_and_exit_2(capsys, argv, flag):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert flag in captured.err
+
+
+def test_out_of_memory_gives_one_line_and_exit_2(monkeypatch, capsys):
+    def too_large(n):
+        raise MemoryError(f"Unable to allocate the columns of {n} iterates")
+
+    monkeypatch.setattr(sequence, "generate", too_large)
+    assert main(["gen", "--n", "1000000000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: "
+                            "Unable to allocate the columns of 1000000000000 iterates\n")
 
 
 def test_run_two_boxes(tmp_path, capsys):
@@ -238,6 +276,9 @@ _MALFORMED_SETS = {
     "string-radius": ("A", {"type": "ball", "center": [0.0, 0.0], "radius": "1"}),
     "string-center": ("A", {"type": "ball", "center": ["0", "0"], "radius": 1.0}),
     "bool-coords": ("B", {"type": "points", "coords": [[True, False]]}),
+    "bool-in-center": ("A", {"type": "ball", "center": [True, 0.0], "radius": 1.0}),
+    "bool-in-coords": ("B", {"type": "points", "coords": [[1.0, 0.0], [0.0, False]]}),
+    "bool-in-start": ("start", [3.0, True]),
     "ragged-coords": ("B", {"type": "points", "coords": [[1.0, 0.0], [1.0]]}),
     "list-type": ("B", {"type": ["box"], "min": [1.0, 0.0], "max": [2.0, 1.0]}),
 }
@@ -315,7 +356,7 @@ def test_fuzz_rejected_configs_exit_2_with_one_line(path, value):
     assert len(err.getvalue().splitlines()) == 1
 
 
-def test_run_degenerate_projection(tmp_path):
+def test_run_degenerate_projection(tmp_path, capsys):
     config = tmp_path / "degenerate.json"
     config.write_text(json.dumps({
         "A": {"type": "sphere", "center": [0.0, 0.0], "radius": 1.0},
@@ -324,9 +365,13 @@ def test_run_degenerate_projection(tmp_path):
         "max_iter": 3,
     }))
     assert main(["run", "--config", str(config), "--trace-out", "-"]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("check failed: set A, iteration 0: projection of the sphere "
+                            "center: the minimizer set is the whole sphere\n")
 
 
-def test_run_tie_error_policy(tmp_path):
+def test_run_tie_error_policy(tmp_path, capsys):
     config = tmp_path / "tie.json"
     config.write_text(json.dumps({
         "A": {"type": "points", "coords": [[0.0, 1.0], [0.0, -1.0]]},
@@ -336,6 +381,9 @@ def test_run_tie_error_policy(tmp_path):
         "tie_policy": "error",
     }))
     assert main(["run", "--config", str(config), "--trace-out", "-"]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "check failed: projection onto A at iteration 0 returned 2 candidates\n"
 
 
 def test_plot_svg(tmp_path):
