@@ -78,7 +78,7 @@ def build(horizon: int, variant: str = VARIANT_SPHERE,
         report = sequence.generate(horizon)
     if len(report) < horizon:
         raise ValueError(f"report has {len(report)} records, need {horizon}")
-    pts = report.points()
+    pts = report.points
     origin = np.zeros(2)
     surface: ProjectorSpec = Sphere(origin, 1.0) if variant == VARIANT_SPHERE else Ball(origin, 1.0)
     set_a = Union([PointCloud(pts[0:horizon:2]), surface])
@@ -98,13 +98,13 @@ def tie_tolerance(sets: CounterexampleSets) -> float:
     eps[k - 1]; the tolerance is a tenth of the smallest such gap over the
     horizon, never above `DEFAULT_TIE_TOL`.
     """
-    gaps = -np.diff(sets.report.epss()[:sets.horizon])
+    gaps = -np.diff(sets.report.epss[:sets.horizon])
     return min(DEFAULT_TIE_TOL, 0.1 * float(gaps.min()))
 
 
 def make_config(sets: CounterexampleSets, n_pairs: int, stop_step: float) -> MapConfig:
     """The MAP config that walks `n_pairs` pairs from the first iterate."""
-    return MapConfig(sets.set_a, sets.set_b, sets.report.points()[0], max_iter=n_pairs,
+    return MapConfig(sets.set_a, sets.set_b, sets.report.points[0], max_iter=n_pairs,
                      stop_step=stop_step, tie_tol=tie_tolerance(sets))
 
 
@@ -125,11 +125,13 @@ def run_corollary(sets: CounterexampleSets, n_pairs: int,
             f"n_pairs={n_pairs} runs into the truncation edge: need 2*n_pairs + 1 <= "
             f"horizon={sets.horizon}"
         )
-    pts = sets.report.points()
+    pts = sets.report.points
     trace = map_driver.run(make_config(sets, n_pairs, stop_step))
-    for n in range(len(trace.a)):
-        if not np.array_equal(trace.a[n], pts[2 * n]):
-            raise CorollaryViolated(n, "A")
-        if not np.array_equal(trace.b[n], pts[2 * n + 1]):
-            raise CorollaryViolated(n, "B")
+    n = len(trace.a)
+    off_a = (trace.a != pts[0:2 * n:2]).any(axis=1)
+    off_b = (trace.b != pts[1:2 * n:2]).any(axis=1)
+    bad = np.flatnonzero(off_a | off_b)
+    if bad.size:
+        k = int(bad[0])
+        raise CorollaryViolated(k, "A" if off_a[k] else "B")
     return trace

@@ -224,7 +224,9 @@ class ProjectorSpec:
 
 
 @dataclass(eq=False)
-class Sphere(ProjectorSpec):
+class _Round(ProjectorSpec):
+    """A set given by a center and a positive radius."""
+
     center: np.ndarray
     radius: float
 
@@ -235,6 +237,8 @@ class Sphere(ProjectorSpec):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         self.dim = self.center.size
 
+
+class Sphere(_Round):
     def _nearest(self, q, tie_tol):
         diff = q - self.center
         d = _norm(diff)
@@ -244,18 +248,7 @@ class Sphere(ProjectorSpec):
         return ProjectionResult(dist, [_radial_point(self.center, self.radius, diff, d)])
 
 
-@dataclass(eq=False)
-class Ball(ProjectorSpec):
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.center = as_point(self.center)
-        self.radius = _finite("radius", self.radius)
-        if not (self.radius > 0.0):
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
-        self.dim = self.center.size
-
+class Ball(_Round):
     def _nearest(self, q, tie_tol):
         diff = q - self.center
         d = _norm(diff)

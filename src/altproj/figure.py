@@ -22,9 +22,9 @@ def render_spiral_svg(report: SequenceReport, size: int = 640) -> str:
     """SVG with the spiral up to the last recorded angle, the unit circle,
     one marker per iterate, and one construction circle of radius eps per
     iterate (the circle the next iterate lies on)."""
-    pts = report.points()
-    alphas = report.alphas()
-    epss = report.epss()
+    pts = report.points
+    alphas = report.alphas
+    epss = report.epss
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="-2.7 -2.7 5.4 5.4">',

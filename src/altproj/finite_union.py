@@ -12,6 +12,7 @@ reported as hypotheses-not-met, never as failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -138,23 +139,16 @@ def check_theorem(scenario: UnionScenario, tol: float = DEFAULT_TOL) -> Converge
     trace = map_driver.run(scenario_config(scenario, tol))
 
     scale = max(1.0, _norm(scenario.start))
-    worst = max(max(_norm(p) for p in trace.a),
-                max(_norm(p) for p in trace.b))
-    bounded = worst <= 10.0 * scale
+    bounded = max(_norm(p) for p in chain(trace.a, trace.b)) <= 10.0 * scale
 
-    gaps_vanished = bool(trace.step_ab and trace.step_ab[-1] < tol
-                         and (trace.step_ba[-1] < tol if trace.step_ba else True))
+    gaps_vanished = bool(trace.step_ab[-1] < tol
+                         and (trace.step_ba.size == 0 or trace.step_ba[-1] < tol))
 
-    converged = False
-    limit = None
+    # A converged verdict bounds b[-2], a[-1] and b[-1] pairwise by
+    # 10 * stop_step = tol / 10, so each lies within tol of the limit b[-1].
+    converged = trace.verdict.kind == VERDICT_CONVERGED
+    limit = trace.verdict.limit
     in_intersection = False
-    if trace.verdict.kind == VERDICT_CONVERGED:
-        limit = trace.verdict.limit
-        # the stop rule bounds exactly this window: b[-2] -> a[-1] -> b[-1]
-        tail = [trace.a[-1], trace.b[-1]]
-        if len(trace.b) >= 2:
-            tail.append(trace.b[-2])
-        converged = all(_norm(p - limit) <= tol for p in tail)
     if limit is not None:
         in_intersection = (
             min(m.distance(limit) for m in scenario.a_members) <= tol

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -117,12 +117,17 @@ class Verdict:
 
 @dataclass(eq=False)
 class MapTrace:
-    a: list = field(default_factory=list)
-    b: list = field(default_factory=list)
-    step_ab: list = field(default_factory=list)
-    step_ba: list = field(default_factory=list)
-    multivalued_events: list = field(default_factory=list)
-    verdict: Optional[Verdict] = None
+    """One run: the iterates a_n and b_n as `(n, d)` rows, the step norms
+    |b_n - a_n| (`step_ab`, n entries) and |a_n - b_{n-1}| for n >= 1
+    (`step_ba`, n - 1 entries), the multivalued projection events as
+    (iteration, set) pairs, and the verdict."""
+
+    a: np.ndarray
+    b: np.ndarray
+    step_ab: np.ndarray
+    step_ba: np.ndarray
+    multivalued_events: list
+    verdict: Verdict
 
 
 def _step(spec: ProjectorSpec, point: np.ndarray, which: str, iteration: int,
@@ -142,7 +147,7 @@ def _step(spec: ProjectorSpec, point: np.ndarray, which: str, iteration: int,
     return result.candidates[0]
 
 
-def _max_pairwise(points: list[np.ndarray]) -> float:
+def _max_pairwise(points) -> float:
     worst = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -152,44 +157,48 @@ def _max_pairwise(points: list[np.ndarray]) -> float:
 
 def run(config: MapConfig) -> MapTrace:
     """Alternate projections from config.start until the stop rule or the budget."""
-    trace = MapTrace()
-    b_prev = config.start
+    a_rows, b_rows, step_ab, step_ba, events = [], [], [], [], []
+    b = config.start
     stop = config.stop_step
     stopped = False
     for n in range(config.max_iter):
-        a = _step(config.set_a, b_prev, "A", n, config, trace.multivalued_events)
-        d_in = euclid._norm(a - b_prev)
+        a = _step(config.set_a, b, "A", n, config, events)
+        d_in = euclid._norm(a - b)
         if n >= 1:
-            trace.step_ba.append(d_in)
-        b = _step(config.set_b, a, "B", n, config, trace.multivalued_events)
+            step_ba.append(d_in)
+        b = _step(config.set_b, a, "B", n, config, events)
         d_ab = euclid._norm(b - a)
-        trace.step_ab.append(d_ab)
-        trace.a.append(a)
-        trace.b.append(b)
-        b_prev = b
+        step_ab.append(d_ab)
+        a_rows.append(a)
+        b_rows.append(b)
         if stop > 0.0 and d_in < stop and d_ab < stop:
             stopped = True
             break
-    trace.verdict = _classify(trace, stop, stopped)
-    return trace
+    # Stacked once at the stop: rows preallocated by max_iter would cost
+    # max_iter rows even for a run that stops after a few.
+    a_arr, b_arr = np.array(a_rows), np.array(b_rows)
+    ab_arr, ba_arr = np.array(step_ab), np.array(step_ba)
+    verdict = _classify(a_arr, b_arr, ab_arr, ba_arr, stop, stopped)
+    return MapTrace(a_arr, b_arr, ab_arr, ba_arr, events, verdict)
 
 
-def _classify(trace: MapTrace, stop: float, stopped: bool) -> Verdict:
-    iters = len(trace.a)
+def _classify(a: np.ndarray, b: np.ndarray, step_ab: np.ndarray, step_ba: np.ndarray,
+              stop: float, stopped: bool) -> Verdict:
+    iters = len(a)
     if stopped:
-        tail = [trace.a[-1], trace.b[-1]]
-        if len(trace.b) >= 2:
-            tail.append(trace.b[-2])
+        tail = [a[-1], b[-1]]
+        if len(b) >= 2:
+            tail.append(b[-2])
         if _max_pairwise(tail) <= 10.0 * stop:
-            return Verdict(VERDICT_CONVERGED, iters, limit=trace.b[-1].copy())
-    if stop > 0.0 and trace.step_ab and trace.step_ba:
-        small = (trace.step_ab[-1] < stop * CONTINUUM_STEP_FACTOR
-                 and trace.step_ba[-1] < stop * CONTINUUM_STEP_FACTOR)
-        tail_pts = trace.a[-min(CONTINUUM_TAIL, iters):]
+            return Verdict(VERDICT_CONVERGED, iters, limit=b[-1].copy())
+    if stop > 0.0 and step_ba.size:
+        small = (step_ab[-1] < stop * CONTINUUM_STEP_FACTOR
+                 and step_ba[-1] < stop * CONTINUUM_STEP_FACTOR)
+        tail_pts = a[-min(CONTINUUM_TAIL, iters):]
         if small and _max_pairwise(tail_pts) > stop * CONTINUUM_SPREAD_FACTOR:
             radii = np.array([euclid._norm(p) for p in tail_pts])
             spread = None
-            if tail_pts[0].size == 2:  # angles describe planar tails only
+            if a.shape[1] == 2:  # angles describe planar tails only
                 angles = np.array([math.atan2(p[1], p[0]) for p in tail_pts])
                 spread = 2.0 * math.pi - max_circular_gap(angles)
             return Verdict(
@@ -259,10 +268,10 @@ def trace_to_json(trace: MapTrace) -> str:
     for f in fields(Verdict):  # declaration order; absent evidence is left out
         value = getattr(trace.verdict, f.name)
         if value is not None:
-            verdict[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+            verdict[f.name] = value
     return render_json({
-        "a": [p.tolist() for p in trace.a],
-        "b": [p.tolist() for p in trace.b],
+        "a": trace.a,
+        "b": trace.b,
         "steps": {"ab": trace.step_ab, "ba": trace.step_ba},
         "multivalued_events": [[i, w] for i, w in trace.multivalued_events],
         "verdict": verdict,

@@ -54,62 +54,40 @@ class NearestPropertyViolated(RuntimeError):
 
 
 class SequenceReport:
-    """Immutable result of `generate`: read-only column arrays."""
+    """Immutable result of `generate`: read-only column arrays.
+
+    `deltas` (the angle step to the successor) and `qs` (the radius ratio of
+    the successor) are one shorter than the four base columns.
+    """
 
     def __init__(self, alphas: np.ndarray, rhos: np.ndarray, epss: np.ndarray,
-                 points: np.ndarray, stopped_early: bool):
-        self._alphas = alphas
-        self._rhos = rhos
-        self._epss = epss
-        self._points = points
-        self._deltas = alphas[1:] - alphas[:-1]
-        self._qs = rhos[1:] / rhos[:-1]
-        for arr in (self._alphas, self._rhos, self._epss, self._points,
-                    self._deltas, self._qs):
+                 points: np.ndarray):
+        self.alphas = alphas
+        self.rhos = rhos
+        self.epss = epss
+        self.points = points
+        self.deltas = alphas[1:] - alphas[:-1]
+        self.qs = rhos[1:] / rhos[:-1]
+        for arr in (alphas, rhos, epss, points, self.deltas, self.qs):
             arr.flags.writeable = False
-        self.stopped_early = stopped_early
 
     def __len__(self) -> int:
-        return self._alphas.size
-
-    def alphas(self) -> np.ndarray:
-        return self._alphas
-
-    def rhos(self) -> np.ndarray:
-        return self._rhos
-
-    def epss(self) -> np.ndarray:
-        return self._epss
-
-    def deltas(self) -> np.ndarray:
-        return self._deltas
-
-    def qs(self) -> np.ndarray:
-        return self._qs
-
-    def points(self) -> np.ndarray:
-        return self._points
+        return self.alphas.size
 
 
-def generate(n_max: int, max_alpha: float = spiral.MAX_ALPHA) -> SequenceReport:
-    """Generate the first `n_max` iterates starting from angle 0 at (2, 0).
-
-    Stops early (with `stopped_early` set) if an angle exceeds `max_alpha`,
-    where the step size would underflow; unreachable at desk scale since the
-    angle grows only logarithmically in the index.
-    """
+def generate(n_max: int) -> SequenceReport:
+    """Generate the first `n_max` iterates starting from angle 0 at (2, 0)."""
     if int(n_max) < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    alphas, stopped = spiral.alpha_chain(0.0, int(n_max), max_alpha)
-    rhos, epss, points = spiral.columns(alphas)
-    return SequenceReport(alphas, rhos, epss, points, stopped)
+    alphas, _ = spiral.alpha_chain(0.0, int(n_max))
+    return SequenceReport(alphas, *spiral.columns(alphas))
 
 
 def check_step_identity(report: SequenceReport) -> float:
     """Max |chord - eps| over the steps: each chord |x_{n+1} - x_n| must
     equal the step size eps_n.  Computed `spiral.CHUNK` steps at a time, so
     no full-length temporary is built."""
-    pts, epss = report.points(), report.epss()
+    pts, epss = report.points, report.epss
     worst = 0.0
     for start in range(0, len(report) - 1, spiral.CHUNK):
         p = pts[start:start + spiral.CHUNK + 1]
@@ -130,11 +108,11 @@ def check_halfangle_identity(report: SequenceReport) -> HalfAngleResiduals:
     per step, in raw form and divided by rho_n^2, returning the max |lhs - rhs|."""
     if len(report) < 2:
         return HalfAngleResiduals(0.0, 0.0)
-    r0 = report.rhos()[:-1]
-    r1 = report.rhos()[1:]
-    e = report.epss()[:-1]
-    d = report.deltas()
-    q = report.qs()
+    r0 = report.rhos[:-1]
+    r1 = report.rhos[1:]
+    e = report.epss[:-1]
+    d = report.deltas
+    q = report.qs
     s2 = np.sin(d / 2.0) ** 2
     raw = np.abs(e ** 2 - ((r0 - r1) ** 2 + 4.0 * r0 * r1 * s2)).max()
     scaled = np.abs((e / r0) ** 2 - ((1.0 - q) ** 2 + 4.0 * q * s2)).max()
@@ -163,9 +141,9 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     """
     if not (0 <= horizon <= len(report) - 1):
         raise ValueError(f"horizon must be in [0, {len(report) - 1}], got {horizon}")
-    pts = report.points()[:horizon + 1]
-    alphas = report.alphas()[:horizon + 1]
-    epss = report.epss()[:horizon + 1]
+    pts = report.points[:horizon + 1]
+    alphas = report.alphas[:horizon + 1]
+    epss = report.epss[:horizon + 1]
     sphere_d = np.exp(-alphas)
     if not np.all(sphere_d > epss):
         raise ValueError("unit sphere is not strictly farther than the successor somewhere")
@@ -239,10 +217,10 @@ def run_verification(report: SequenceReport,
     def check(name: str, passed: bool, detail: str) -> None:
         results.append(CheckResult(name, bool(passed), detail))
 
-    pts = report.points()
-    alphas = report.alphas()
-    epss = report.epss()
-    deltas = report.deltas()
+    pts = report.points
+    alphas = report.alphas
+    epss = report.epss
+    deltas = report.deltas
 
     eps0_closed = (1.0 - math.exp(-2.0 * math.pi)) / 2.0
     check("initialization",
@@ -308,8 +286,8 @@ def write_csv(report: SequenceReport, stream) -> None:
     last = len(report) - 1
     if last < 0:
         return
-    alphas, rhos, epss, pts = report.alphas(), report.rhos(), report.epss(), report.points()
-    cols = (alphas, report.deltas(), rhos, epss, pts[:, 0], pts[:, 1])
+    alphas, rhos, epss, pts = report.alphas, report.rhos, report.epss, report.points
+    cols = (alphas, report.deltas, rhos, epss, pts[:, 0], pts[:, 1])
     table = np.empty((min(spiral.CHUNK, last), 7))
     for start in range(0, last, spiral.CHUNK):
         block = table[:min(spiral.CHUNK, last - start)]
@@ -333,7 +311,7 @@ def records_to_json_obj(report: SequenceReport) -> list[dict]:
     return [
         {"n": n, "alpha": alpha, "delta": delta, "rho": rho, "eps": eps, "x": x, "q": q}
         for n, (alpha, delta, rho, eps, x, q) in enumerate(zip(
-            report.alphas().tolist(), report.deltas().tolist() + [None],
-            report.rhos().tolist(), report.epss().tolist(), report.points().tolist(),
-            report.qs().tolist() + [None]))
+            report.alphas.tolist(), report.deltas.tolist() + [None],
+            report.rhos.tolist(), report.epss.tolist(), report.points.tolist(),
+            report.qs.tolist() + [None]))
     ]

@@ -35,9 +35,9 @@ def nearest_scan(report: sequence.SequenceReport, horizon: int) -> float:
     """
     if not (0 <= horizon <= len(report) - 1):
         raise ValueError(f"horizon must be in [0, {len(report) - 1}], got {horizon}")
-    pts = report.points()[:horizon + 1]
-    alphas = report.alphas()[:horizon + 1]
-    epss = report.epss()[:horizon + 1]
+    pts = report.points[:horizon + 1]
+    alphas = report.alphas[:horizon + 1]
+    epss = report.epss[:horizon + 1]
     sphere_d = np.exp(-alphas)
     if not np.all(sphere_d > epss):
         raise ValueError("unit sphere is not strictly farther than the successor somewhere")
@@ -86,11 +86,11 @@ def nearest_in_cloud(points, q, exclude: Optional[int] = None) -> tuple[int, flo
 def write_csv_rows(report: sequence.SequenceReport, stream) -> None:
     """The row-at-a-time CSV writer: `sequence.write_csv` must write the same bytes."""
     stream.write(sequence.CSV_HEADER + "\n")
-    alphas = report.alphas()
-    deltas = report.deltas()
-    rhos = report.rhos()
-    epss = report.epss()
-    pts = report.points()
+    alphas = report.alphas
+    deltas = report.deltas
+    rhos = report.rhos
+    epss = report.epss
+    pts = report.points
     last = len(report) - 1
     for i in range(len(report)):
         d = fmt17(deltas[i]) if i < last else ""

@@ -39,9 +39,9 @@ def sphere_trace_2000(report_10k):
 
 def test_c01_initialization_exactness(report_10k):
     with criterion(1, "initialization exactness"):
-        x0 = report_10k.points()[0]
+        x0 = report_10k.points[0]
         assert x0[0] == 2.0 and x0[1] == 0.0
-        eps0 = report_10k.epss()[0]
+        eps0 = report_10k.epss[0]
         assert abs(eps0 - (1.0 - math.exp(-TWO_PI)) / 2.0) <= 1e-15
 
 
@@ -57,7 +57,7 @@ def test_c02_step_identity(report_10k):
 def test_c03_bracket_conformance(report_100k):
     with criterion(3, "every step angle in (0, 40 degrees] at horizon 1e5"):
         assert len(report_100k) == 100_000
-        deltas = report_100k.deltas()
+        deltas = report_100k.deltas
         bound = 40.0 * math.pi / 180.0
         assert np.all(deltas > 0.0)
         assert np.all(deltas <= bound)
@@ -67,7 +67,7 @@ def test_c04_nearest_point_property(report_10k):
     with criterion(4, "exact nearest-point property at horizons 2000 and 9999"):
         margin = sequence.verify_nearest(report_10k, 2000)
         assert margin > 0.0
-        sphere_margin = np.exp(-report_10k.alphas()) - report_10k.epss()
+        sphere_margin = np.exp(-report_10k.alphas) - report_10k.epss
         assert np.all(sphere_margin > 0.0)
         full = sequence.verify_nearest(report_10k, 9999)
         assert 0.0 < full <= margin
@@ -75,13 +75,13 @@ def test_c04_nearest_point_property(report_10k):
 
 def test_c05_monotonicity_and_divergence(report_10k, report_100k):
     with criterion(5, "monotone steps, telescoping, unbounded partial sums"):
-        assert np.all(np.diff(report_100k.epss()) < 0.0)
-        alphas = report_100k.alphas()
-        assert abs(math.fsum(report_100k.deltas().tolist()) - (alphas[-1] - alphas[0])) <= 1e-10
-        growth = (math.fsum(report_100k.epss()[:-1].tolist())
-                  - math.fsum(report_10k.epss()[:-1].tolist()))
+        assert np.all(np.diff(report_100k.epss) < 0.0)
+        alphas = report_100k.alphas
+        assert abs(math.fsum(report_100k.deltas.tolist()) - (alphas[-1] - alphas[0])) <= 1e-10
+        growth = (math.fsum(report_100k.epss[:-1].tolist())
+                  - math.fsum(report_10k.epss[:-1].tolist()))
         assert growth > 1.0
-        assert report_100k.epss()[-1] < 1e-3
+        assert report_100k.epss[-1] < 1e-3
 
 
 def test_c06_corollary_reproduction(report_10k, sphere_trace_2000):
@@ -92,25 +92,25 @@ def test_c06_corollary_reproduction(report_10k, sphere_trace_2000):
             assert np.array_equal(p, q)
         for p, q in zip(sphere_trace_2000.b, disk_trace.b):
             assert np.array_equal(p, q)
-        assert sphere_trace_2000.step_ab == disk_trace.step_ab
-        assert sphere_trace_2000.step_ba == disk_trace.step_ba
+        assert np.array_equal(sphere_trace_2000.step_ab, disk_trace.step_ab)
+        assert np.array_equal(sphere_trace_2000.step_ba, disk_trace.step_ba)
 
 
 def _even_iterate_angles(report, horizon: int) -> np.ndarray:
     # a-iterates of a truncation-safe full run at `horizon`: indices 0, 2, ...
     pairs = counterexample.max_safe_pairs(horizon)
-    pts = report.points()[0:2 * (pairs - 1) + 1:2]
+    pts = report.points[0:2 * (pairs - 1) + 1:2]
     return np.arctan2(pts[:, 1], pts[:, 0])
 
 
 def _trace_angles(trace) -> np.ndarray:
-    pts = np.array(trace.a)
+    pts = trace.a
     return np.arctan2(pts[:, 1], pts[:, 0])
 
 
 def test_c07_cluster_set_surrogate(report_10k, report_100k, sphere_trace_2000):
     with criterion(7, "iterate radii track exp(-alpha); angular gaps shrink with horizon"):
-        alphas = report_10k.alphas()
+        alphas = report_10k.alphas
         for n, a in enumerate(sphere_trace_2000.a):
             gap = abs(float(np.linalg.norm(a)) - 1.0)
             assert abs(gap - math.exp(-alphas[2 * n])) <= 1e-12
@@ -139,7 +139,7 @@ def test_c08_figure_reproduction(tmp_path):
         root = ET.fromstring(out.read_text())  # well-formed XML
         markers = [el for el in root.iter() if el.get("class") == "iterate"]
         assert len(markers) == 16
-        pts = sequence.generate(16).points()
+        pts = sequence.generate(16).points
         for i, el in enumerate(markers):
             assert float(el.get("cx")) == pts[i, 0]
             assert float(el.get("cy")) == pts[i, 1]
@@ -166,7 +166,7 @@ def test_c10_outside_starts_join_even_tail(report_10k):
     with criterion(10, "outside starts join the even tail; circle starts are constant"):
         horizon = 10_000
         sets = build(horizon, VARIANT_SPHERE, report_10k)
-        pts = report_10k.points()
+        pts = report_10k.points
         evens = pts[0:horizon:2]
         # Any finite truncation leaves a thin annulus just outside the circle
         # where the deepest available turn at the start's angle still loses to

@@ -1,0 +1,81 @@
+"""Byte stability of the CLI artifacts for fixed flags and seeds.
+
+Each case runs `cli.main` into a temporary directory and compares the
+SHA-256 digest of the artifact with a recorded value.  The digests were
+recorded with Python 3.11.7 and numpy 2.4.6: they belong to this platform's
+libm and numpy, and another platform may round differently.  A change that
+moves artifact bytes on purpose updates the digest here and says so in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from altproj import cli
+
+
+def _exported(path):
+    assert cli.main(["export-sets", "--horizon", "2000", "--out", str(path)]) == 0
+
+
+def _box_ball(path):
+    path.write_text(json.dumps({
+        "A": {"type": "box", "min": [0.0, 0.0], "max": [1.0, 1.0]},
+        "B": {"type": "ball", "center": [2.0, 0.5], "radius": 1.5},
+        "start": [3.0, 0.5],
+    }))
+
+
+def _two_point(path):
+    # every A projection from iteration 1 on is a tie: the trace records
+    # 1 000 multivalued events
+    path.write_text(json.dumps({
+        "A": {"type": "points", "coords": [[0.0, 0.0], [0.6, 0.0]]},
+        "B": {"type": "points", "coords": [[0.3, 0.0], [0.9, 0.0]]},
+        "start": [0.9, 0.0],
+        "stop_step": 1e-3,
+    }))
+
+
+#: Each case: the config writer for `run` (or None), argv without its output
+#: path, and the SHA-256 of the artifact.
+CASES = [
+    pytest.param(None, ["export-sets", "--horizon", "2000"],
+                 "02a97e5e09c4f57d59621d71c55cb917e1e3f880b86469ecb3c2e566f4c4ea97",
+                 id="export-sets"),
+    pytest.param(_exported, ["run"],
+                 "3dc8a8be15ef3a6b033b69173b21f5bb562ce8410a2aa5a42ca64f2c4853eecc",
+                 id="run-exported"),
+    pytest.param(None, ["union-batch", "--seeds", "200", "--dim", "3", "--members", "4"],
+                 "872517a9d1992df04f33d3bd83bf34e19485635cd51db0302e98afcba39ee991",
+                 id="union-batch"),
+    pytest.param(None, ["gen", "--n", "2000", "--format", "json"],
+                 "976f2c8042a68186ea1ad5767466d6e51a912ae721b22059cb7d95aacccc4a04",
+                 id="gen-json"),
+    pytest.param(None, ["gen", "--n", "2000"],
+                 "faa4de1a8f94cad1655e9b2a1915bae730b162db968bc186cac933b58c91d8e2",
+                 id="gen-csv"),
+    pytest.param(None, ["plot", "--n", "50"],
+                 "6b126be7e7013400df1a2c9cba521f61d0f315dc35e42382a2a1bb7d8141bbc6",
+                 id="plot"),
+    pytest.param(_box_ball, ["run"],
+                 "112fe69f34881876c764da5b1ed5f31fcdb033e64ee006bd111cb0ab05c1bd82",
+                 id="run-box-ball"),
+    pytest.param(_two_point, ["run"],
+                 "c63151dd686234508d5cb9c3f6d18b836ae434ba7342416c935eb397e5772278",
+                 id="run-two-point"),
+]
+
+
+@pytest.mark.parametrize("config, argv, digest", CASES)
+def test_artifact_digest(tmp_path, config, argv, digest):
+    out = tmp_path / "artifact"
+    if config is None:
+        argv = [*argv, "--out", str(out)]
+    else:
+        config(tmp_path / "config.json")
+        argv = [*argv, "--config", str(tmp_path / "config.json"), "--trace-out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -108,10 +108,10 @@ def test_verify_rejects_tiny_horizon():
 
 
 def _corrupted(report):
-    pts = report.points().copy()
+    pts = report.points.copy()
     pts[7] = [1.7, 0.4]
-    return SequenceReport(report.alphas().copy(), report.rhos().copy(),
-                          report.epss().copy(), pts, False)
+    return SequenceReport(report.alphas.copy(), report.rhos.copy(),
+                          report.epss.copy(), pts)
 
 
 def test_run_verification_names_corrupted_check(report_300):
@@ -130,10 +130,10 @@ def test_verify_cli_exits_nonzero_on_corruption(monkeypatch, capsys, report_300)
 def test_verify_reports_a_nearer_sphere_as_failed_checks(monkeypatch, capsys, report_300):
     assert main(["verify", "--horizon", "300"]) == EXIT_OK
     names = [line.split(":")[0].split()[1] for line in capsys.readouterr().out.splitlines()]
-    epss = report_300.epss().copy()
+    epss = report_300.epss.copy()
     epss[100] = 1.0  # the unit sphere is nearer than this step size
-    bad = SequenceReport(report_300.alphas().copy(), report_300.rhos().copy(), epss,
-                         report_300.points().copy(), False)
+    bad = SequenceReport(report_300.alphas.copy(), report_300.rhos.copy(), epss,
+                         report_300.points.copy())
     monkeypatch.setattr(sequence, "generate", lambda n: bad)
     assert main(["verify", "--horizon", "300"]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
@@ -393,13 +393,13 @@ def test_plot_svg(tmp_path):
     markers = [el for el in root.iter() if el.get("class") == "iterate"]
     assert len(markers) == 16
     report = sequence.generate(16)
-    pts = report.points()
+    pts = report.points
     for i, el in enumerate(markers):
         assert float(el.get("cx")) == pts[i, 0]
         assert float(el.get("cy")) == pts[i, 1]
     radii = [el for el in root.iter() if el.get("class") == "step-radius"]
     assert len(radii) == 16
-    assert float(radii[0].get("r")) == report.epss()[0]
+    assert float(radii[0].get("r")) == report.epss[0]
 
 
 def test_plot_minimal(tmp_path):

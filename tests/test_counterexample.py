@@ -20,7 +20,7 @@ from altproj.map_driver import MapConfig
 
 def test_build_parity_split(report_300):
     sets = build(4, report=report_300)
-    pts = report_300.points()
+    pts = report_300.points
     cloud_a, surface_a = sets.set_a.members
     cloud_b, surface_b = sets.set_b.members
     np.testing.assert_array_equal(cloud_a.points, pts[[0, 2]])
@@ -53,7 +53,7 @@ def test_max_safe_pairs():
 def test_run_corollary_reproduces_sequence(report_300):
     sets = build(300, report=report_300)
     trace = run_corollary(sets, 100)
-    pts = report_300.points()
+    pts = report_300.points
     for n in range(100):
         np.testing.assert_array_equal(trace.a[n], pts[2 * n])
         np.testing.assert_array_equal(trace.b[n], pts[2 * n + 1])
@@ -66,7 +66,7 @@ def test_tie_tolerance_separates_successor_from_predecessor(report_100k):
     # and x_31637 in B within 1e-9 of each other, and the lowest index would
     # pick the predecessor.
     sets = build(40_000, report=report_100k)
-    pts = report_100k.points()
+    pts = report_100k.points
     q = pts[31636]
     tied = sets.set_b.project(q)
     assert tied.multivalued
@@ -86,17 +86,21 @@ def test_run_corollary_respects_truncation_margin(report_300):
     run_corollary(sets, 149)
 
 
-def test_run_corollary_detects_missing_point(report_300):
-    # drop the second even point from A: the trace must leave the prediction
-    pts = report_300.points()
+@pytest.mark.parametrize("which, dropped", [("A", 2), ("B", 3)])
+def test_run_corollary_detects_missing_point(report_300, which, dropped):
+    # drop iterate 2 from A or iterate 3 from B: the trace must leave the
+    # prediction at pair 1, on that side
+    pts = report_300.points
     sphere = Sphere(np.zeros(2), 1.0)
-    tampered = Union([PointCloud(pts[[0] + list(range(4, 300, 2))]), sphere])
-    sets = CounterexampleSets(tampered, build(300, report=report_300).set_b,
-                              300, VARIANT_SPHERE, report_300)
+    cloud = np.delete(pts[dropped % 2:300:2], dropped // 2, axis=0)
+    tampered = Union([PointCloud(cloud), sphere])
+    intact = build(300, report=report_300)
+    set_a, set_b = (tampered, intact.set_b) if which == "A" else (intact.set_a, tampered)
+    sets = CounterexampleSets(set_a, set_b, 300, VARIANT_SPHERE, report_300)
     with pytest.raises(CorollaryViolated) as info:
         run_corollary(sets, 100)
     assert info.value.n == 1
-    assert info.value.which == "A"
+    assert info.value.which == which
 
 
 def test_disk_variant_trace_identical(report_300):
@@ -104,8 +108,8 @@ def test_disk_variant_trace_identical(report_300):
     trace_d = run_corollary(build(300, VARIANT_DISK, report_300), 140)
     assert all(np.array_equal(p, q) for p, q in zip(trace_s.a, trace_d.a))
     assert all(np.array_equal(p, q) for p, q in zip(trace_s.b, trace_d.b))
-    assert trace_s.step_ab == trace_d.step_ab
-    assert trace_s.step_ba == trace_d.step_ba
+    assert np.array_equal(trace_s.step_ab, trace_d.step_ab)
+    assert np.array_equal(trace_s.step_ba, trace_d.step_ba)
 
 
 def test_start_on_circle_axis_points_are_exactly_constant(report_300):
@@ -136,7 +140,7 @@ def test_start_outside_disk_joins_even_tail(report_10k):
     # ends around gap ~0.35.  Norms >= 1.5 stay clear of it.
     horizon = 2000
     sets = build(horizon, report=report_10k)
-    pts = report_10k.points()
+    pts = report_10k.points
     evens = pts[0:horizon:2]
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -167,7 +171,7 @@ def test_start_inside_disk_does_not_crash(report_300):
 
 def test_set_membership_fuzz(report_300):
     sets = build(300, report=report_300)
-    pts = report_300.points()
+    pts = report_300.points
     rng = np.random.default_rng(5)
     for theta in rng.uniform(0.0, 2.0 * math.pi, 50).tolist():
         assert sets.set_a.distance([math.cos(theta), math.sin(theta)]) <= 1e-9

@@ -59,7 +59,7 @@ def test_point_cloud_symmetric_tie_is_multivalued():
 
 def test_union_sphere_and_tail_cloud_projects_to_successor():
     report = sequence.generate(80)
-    pts = report.points()
+    pts = report.points
     spec = Union([Sphere(O2, 1.0), PointCloud(pts[1:])])
     res = spec.project(pts[0])
     assert len(res.candidates) == 1
@@ -148,7 +148,7 @@ def test_nearest_in_cloud_tie_breaks_to_lowest_index():
 
 
 def test_nearest_in_cloud_exclusion_gives_successor(report_300):
-    pts = report_300.points()[:101]
+    pts = report_300.points[:101]
     idx, dist, margin = nearest_in_cloud(pts, pts[5], exclude=5)
     assert idx == 6
     assert margin > 0.0

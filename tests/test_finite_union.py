@@ -128,7 +128,7 @@ def test_no_separated_cluster_points_when_hypotheses_hold():
         if not (verdict.gaps_vanished and verdict.bounded):
             continue
         trace = map_driver.run(finite_union.scenario_config(scenario, tol))
-        tail = [trace.a[-1], trace.b[-1]] + trace.b[-2:-1]
+        tail = [trace.a[-1], trace.b[-1], *trace.b[-2:-1]]
         worst = max(np.linalg.norm(p - q) for p in tail for q in tail)
         assert worst <= 10.0 * tol
         checked += 1

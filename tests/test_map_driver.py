@@ -26,6 +26,7 @@ from altproj.map_driver import (
     MapConfig,
     MapTrace,
     ProjectionTie,
+    Verdict,
     config_from_dict,
     config_to_dict,
     max_circular_gap,
@@ -82,7 +83,7 @@ def test_counterexample_run_is_flagged_as_continuum(report_300):
     # stop_step 1e-4 puts the "steps became small" threshold (1000x) above the
     # tail step sizes at this short horizon without ever triggering a stop
     sets = counterexample.build(300, report=report_300)
-    config = MapConfig(sets.set_a, sets.set_b, report_300.points()[0],
+    config = MapConfig(sets.set_a, sets.set_b, report_300.points[0],
                        max_iter=149, stop_step=1e-4)
     trace = run(config)
     assert trace.verdict.kind == VERDICT_CONTINUUM
@@ -94,7 +95,7 @@ def test_counterexample_run_is_flagged_as_continuum(report_300):
 def test_counterexample_steps_match_step_sizes(report_300):
     sets = counterexample.build(300, report=report_300)
     trace = counterexample.run_corollary(sets, 100)
-    epss = report_300.epss()
+    epss = report_300.epss
     for n, step in enumerate(trace.step_ab):
         assert abs(step - epss[2 * n]) <= 1e-10
     for n, step in enumerate(trace.step_ba):
@@ -107,13 +108,13 @@ def test_counterexample_steps_match_step_sizes(report_300):
 
 def test_determinism_bitwise(report_300):
     sets = counterexample.build(120, report=report_300)
-    config = MapConfig(sets.set_a, sets.set_b, report_300.points()[0], max_iter=50)
+    config = MapConfig(sets.set_a, sets.set_b, report_300.points[0], max_iter=50)
     t1 = run(config)
     t2 = run(config)
     assert all(np.array_equal(p, q) for p, q in zip(t1.a, t2.a))
     assert all(np.array_equal(p, q) for p, q in zip(t1.b, t2.b))
-    assert t1.step_ab == t2.step_ab
-    assert t1.step_ba == t2.step_ba
+    assert np.array_equal(t1.step_ab, t2.step_ab)
+    assert np.array_equal(t1.step_ba, t2.step_ba)
 
 
 def test_tie_policy_error_aborts():
@@ -238,7 +239,7 @@ def test_max_circular_gap():
 
 
 def _tail_angles_and_radii(trace):
-    pts = np.array(trace.a)
+    pts = trace.a
     return np.arctan2(pts[:, 1], pts[:, 0]), np.sqrt((pts ** 2).sum(axis=1))
 
 
@@ -251,7 +252,8 @@ def test_converged_run_tail_is_one_point():
 
 
 def test_circular_gap_of_two_trace_points():
-    trace = MapTrace(a=[np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    a = np.array([[1.0, 0.0], [0.0, 1.0]])
+    trace = MapTrace(a, a.copy(), np.ones(2), np.ones(1), [], Verdict(VERDICT_BUDGET, 2))
     angles, radii = _tail_angles_and_radii(trace)
     assert max_circular_gap(angles) == pytest.approx(1.5 * math.pi)
     assert radii.mean() == pytest.approx(1.0)
@@ -279,7 +281,11 @@ def test_fuzz_point_cloud_pairs_never_raise(dim, n_a, n_b, seed, grid, policy, s
         return
     verdict = trace.verdict
     assert verdict.kind in (VERDICT_CONVERGED, VERDICT_CONTINUUM, VERDICT_BUDGET)
-    assert verdict.iterations_used == len(trace.a) <= max_iter
+    n = verdict.iterations_used
+    assert n == len(trace.a) <= max_iter
+    assert trace.a.shape == trace.b.shape == (n, dim)
+    assert trace.step_ab.shape == (n,)
+    assert trace.step_ba.shape == (n - 1,)
     assert (verdict.angular_spread is not None) == (verdict.kind == VERDICT_CONTINUUM
                                                     and dim == 2)
     json.loads(trace_to_json(trace))

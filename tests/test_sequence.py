@@ -32,13 +32,13 @@ def test_generate_single_record():
     report = generate(1)
     assert len(report) == 1
     assert [obj["n"] for obj in records_to_json_obj(report)] == [0]
-    assert report.alphas()[0] == 0.0
-    assert report.rhos()[0] == 2.0
-    assert report.epss()[0] == pytest.approx(0.4990663, abs=1e-7)
-    np.testing.assert_array_equal(report.points()[0], [2.0, 0.0])
-    assert report.deltas().size == 0  # no successor: no delta and no radius ratio
-    assert report.qs().size == 0
-    assert math.fsum(report.deltas().tolist()) == 0.0
+    assert report.alphas[0] == 0.0
+    assert report.rhos[0] == 2.0
+    assert report.epss[0] == pytest.approx(0.4990663, abs=1e-7)
+    np.testing.assert_array_equal(report.points[0], [2.0, 0.0])
+    assert report.deltas.size == 0  # no successor: no delta and no radius ratio
+    assert report.qs.size == 0
+    assert math.fsum(report.deltas.tolist()) == 0.0
     assert check_step_identity(report) == 0.0
 
 
@@ -49,19 +49,19 @@ def test_generate_validates_n_max():
 
 def test_first_sixteen_records(report_300):
     assert [obj["n"] for obj in records_to_json_obj(report_300)[:16]] == list(range(16))
-    for delta in report_300.deltas()[:15].tolist():
+    for delta in report_300.deltas[:15].tolist():
         assert 0.0 < delta <= spiral.STEP_UPPER_BOUND
-    epss = report_300.epss()[:16].tolist()
+    epss = report_300.epss[:16].tolist()
     assert all(a > b for a, b in zip(epss, epss[1:]))
 
 
 def test_record_invariants(report_10k):
-    alphas = report_10k.alphas()
-    assert np.abs(report_10k.rhos() - (1.0 + np.exp(-alphas))).max() <= 1e-14
+    alphas = report_10k.alphas
+    assert np.abs(report_10k.rhos - (1.0 + np.exp(-alphas))).max() <= 1e-14
     closed = ((1.0 - math.exp(-TWO_PI)) / 2.0) * np.exp(-alphas)
-    assert np.abs(report_10k.epss() - closed).max() <= 1e-14
-    assert np.all(report_10k.deltas() > 0.0)
-    qs = report_10k.qs()
+    assert np.abs(report_10k.epss - closed).max() <= 1e-14
+    assert np.all(report_10k.deltas > 0.0)
+    qs = report_10k.qs
     assert np.all((qs > 0.0) & (qs < 1.0))
 
 
@@ -76,11 +76,11 @@ def test_chord_equals_eps(report_10k):
 def test_step_identity_sees_every_step(report_10k, n, bad):
     # the residual is taken a slice at a time; a wrong step size must show
     # wherever the slices are cut, and the value is the full-length max
-    epss = report_10k.epss()[:n].copy()
+    epss = report_10k.epss[:n].copy()
     epss[bad] += 1e-6
-    pts = report_10k.points()[:n].copy()
-    report = SequenceReport(report_10k.alphas()[:n].copy(), report_10k.rhos()[:n].copy(),
-                            epss, pts, False)
+    pts = report_10k.points[:n].copy()
+    report = SequenceReport(report_10k.alphas[:n].copy(), report_10k.rhos[:n].copy(),
+                            epss, pts)
     chords = np.hypot(pts[1:, 0] - pts[:-1, 0], pts[1:, 1] - pts[:-1, 1])
     residual = check_step_identity(report)
     assert residual == np.abs(chords - epss[:-1]).max()
@@ -88,9 +88,9 @@ def test_step_identity_sees_every_step(report_10k, n, bad):
 
 
 def test_sphere_gap_identity(report_10k):
-    pts = report_10k.points()
+    pts = report_10k.points
     gaps = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
-    assert np.abs(gaps - np.exp(-report_10k.alphas())).max() <= 1e-12
+    assert np.abs(gaps - np.exp(-report_10k.alphas)).max() <= 1e-12
 
 
 def test_halfangle_identity(report_10k):
@@ -105,41 +105,41 @@ def test_halfangle_identity_single_record():
 
 
 def test_telescoping(report_10k):
-    alphas = report_10k.alphas()
-    assert abs(math.fsum(report_10k.deltas().tolist()) - (alphas[-1] - alphas[0])) <= 1e-10
+    alphas = report_10k.alphas
+    assert abs(math.fsum(report_10k.deltas.tolist()) - (alphas[-1] - alphas[0])) <= 1e-10
 
 
 def test_eps_exceeds_half_delta_everywhere(report_10k):
     # sin(t/2) >= t/4 holds whenever t^2 <= 12; every step is below 40 degrees,
     # so the bound applies from the very first step.
-    assert np.all(report_10k.epss()[:-1] > report_10k.deltas() / 2.0)
+    assert np.all(report_10k.epss[:-1] > report_10k.deltas / 2.0)
 
 
 def test_eps_below_threshold_once_alpha_large(report_10k):
     threshold = math.log(((1.0 - math.exp(-TWO_PI)) / 2.0) / 1e-3)
-    mask = report_10k.alphas() > threshold
+    mask = report_10k.alphas > threshold
     assert mask.any()
-    assert np.all(report_10k.epss()[mask] < 1e-3)
+    assert np.all(report_10k.epss[mask] < 1e-3)
 
 
 def test_monotone_approach_to_circle(report_300):
-    deltas = report_300.deltas()
+    deltas = report_300.deltas
     assert np.all(deltas > 0.0)
     assert deltas[-1] == deltas.min()
-    epss = report_300.epss()
+    epss = report_300.epss
     assert np.all(np.diff(epss) < 0.0)
     assert epss[-1] < epss[0]
-    pts = report_300.points()
+    pts = report_300.points
     gaps = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
-    assert np.abs(gaps - np.exp(-report_300.alphas())).max() <= 1e-12
+    assert np.abs(gaps - np.exp(-report_300.alphas)).max() <= 1e-12
     assert np.all(np.diff(gaps) < 0.0)
-    assert report_300.rhos()[-1] == pytest.approx(1.0 + gaps[-1], abs=1e-12)
+    assert report_300.rhos[-1] == pytest.approx(1.0 + gaps[-1], abs=1e-12)
 
 
 def test_partial_eps_sum_grows_without_bound(report_10k):
     # the cumulative step length keeps growing across horizons even though the
     # individual steps shrink below any fixed level
-    epss = report_10k.epss()
+    epss = report_10k.epss
     partial_2k = math.fsum(epss[:1999].tolist())
     partial_10k = math.fsum(epss[:-1].tolist())
     assert partial_10k > partial_2k + 0.5
@@ -147,7 +147,7 @@ def test_partial_eps_sum_grows_without_bound(report_10k):
 
 
 def test_cluster_coverage_gap_shrinks_with_horizon(report_10k):
-    alphas = report_10k.alphas()
+    alphas = report_10k.alphas
     gap_small = map_driver.max_circular_gap(alphas[:2000])
     gap_large = map_driver.max_circular_gap(alphas[:10000])
     assert gap_large < gap_small
@@ -168,10 +168,10 @@ def test_verify_nearest_rejects_bad_horizon(report_300):
 
 
 def test_verify_nearest_detects_corruption(report_300):
-    pts = report_300.points().copy()
+    pts = report_300.points.copy()
     pts[[5, 50]] = pts[[50, 5]]
-    corrupt = SequenceReport(report_300.alphas().copy(), report_300.rhos().copy(),
-                             report_300.epss().copy(), pts, False)
+    corrupt = SequenceReport(report_300.alphas.copy(), report_300.rhos.copy(),
+                             report_300.epss.copy(), pts)
     with pytest.raises(NearestPropertyViolated) as info:
         verify_nearest(corrupt, 299)
     assert info.value.n == 4
@@ -196,10 +196,10 @@ def _nearest_outcome(check, report, horizon):
 def test_verify_nearest_equals_scan_on_swapped_iterates(report_300, data):
     i = data.draw(st.integers(0, 298), label="i")
     j = data.draw(st.integers(i + 1, 299), label="j")
-    pts = report_300.points().copy()
+    pts = report_300.points.copy()
     pts[[i, j]] = pts[[j, i]]
-    swapped = SequenceReport(report_300.alphas().copy(), report_300.rhos().copy(),
-                             report_300.epss().copy(), pts, False)
+    swapped = SequenceReport(report_300.alphas.copy(), report_300.rhos.copy(),
+                             report_300.epss.copy(), pts)
     assert (_nearest_outcome(verify_nearest, swapped, 299)
             == _nearest_outcome(nearest_scan, swapped, 299))
 
@@ -214,7 +214,7 @@ def test_verify_nearest_finds_runner_up_across_leaf_edge(edge):
     gaps[edge:] += 1e-5 - 1e-9
     pts = np.column_stack([np.concatenate(([0.0], np.cumsum(gaps))), np.zeros(200)])
     flat = np.zeros(200)  # the unit sphere stays at distance 1
-    report = SequenceReport(flat, flat + 1.0, flat.copy(), pts, False)
+    report = SequenceReport(flat, flat + 1.0, flat.copy(), pts)
     margin = verify_nearest(report, 199)
     assert margin == nearest_scan(report, 199)
     assert margin < 1e-8
@@ -239,26 +239,19 @@ def test_verify_nearest_leaves_numpy_ma_unloaded():
 def test_no_earlier_point_is_closer(report_300):
     # any earlier point closer than the successor would contradict the strict
     # decrease of the step sizes
-    pts = report_300.points()
-    epss = report_300.epss()
+    pts = report_300.points
+    epss = report_300.epss
     rng = np.random.default_rng(99)
     for n in rng.integers(1, 299, 25).tolist():
         earlier = np.linalg.norm(pts[:n] - pts[n], axis=1)
         assert np.all(earlier > epss[n])
 
 
-def test_stopped_early_flag():
-    report = generate(50, max_alpha=1.0)
-    assert report.stopped_early
-    assert len(report) < 50
-    assert not generate(50).stopped_early
-
-
 def test_report_arrays_are_read_only(report_300):
     with pytest.raises(ValueError):
-        report_300.alphas()[0] = 1.0
+        report_300.alphas[0] = 1.0
     with pytest.raises(ValueError):
-        report_300.points()[0, 0] = 5.0
+        report_300.points[0, 0] = 5.0
 
 
 def test_csv_export():
@@ -278,8 +271,8 @@ def test_csv_export():
     # 17-significant-digit rendering round-trips the stored values exactly
     for i, line in enumerate(lines[1:]):
         fields = line.split(",")
-        assert float(fields[1]) == report.alphas()[i]
-        assert float(fields[3]) == report.rhos()[i]
+        assert float(fields[1]) == report.alphas[i]
+        assert float(fields[3]) == report.rhos[i]
 
 
 def test_json_records():
@@ -290,7 +283,7 @@ def test_json_records():
     assert objs[0]["x"] == [2.0, 0.0]
     assert objs[-1]["delta"] is None
     assert objs[-1]["q"] is None
-    assert objs[0]["delta"] == report.deltas()[0]
+    assert objs[0]["delta"] == report.deltas[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, spiral.CHUNK - 1, spiral.CHUNK, spiral.CHUNK + 1,
@@ -306,7 +299,7 @@ def test_csv_equals_row_writer(n):
 
 def test_csv_of_empty_report_is_the_header():
     empty = np.empty(0)
-    report = SequenceReport(empty, empty.copy(), empty.copy(), np.empty((0, 2)), False)
+    report = SequenceReport(empty, empty.copy(), empty.copy(), np.empty((0, 2)))
     buf = io.StringIO()
     write_csv(report, buf)
     assert buf.getvalue() == "n,alpha,delta,rho,eps,x,y\n"
@@ -319,9 +312,9 @@ def test_csv_of_empty_report_is_the_header():
 def test_csv_rejects_non_finite(report_10k, column, bad, row):
     # row CHUNK + 9 is the final row, written on its own; an infinite angle
     # is left out because the report itself rejects it
-    cols = {name: getattr(report_10k, name)()[:spiral.CHUNK + 10].copy()
+    cols = {name: getattr(report_10k, name)[:spiral.CHUNK + 10].copy()
             for name in ("alphas", "rhos", "epss", "points")}
     cols[column][row] = bad
-    report = SequenceReport(cols["alphas"], cols["rhos"], cols["epss"], cols["points"], False)
+    report = SequenceReport(cols["alphas"], cols["rhos"], cols["epss"], cols["points"])
     with pytest.raises(ValueError, match="non-finite"):
         write_csv(report, io.StringIO())
