@@ -10,14 +10,17 @@ distance is within `tie_tol` of the optimum, and flags multivaluedness
 instead of silently picking a representative.  Every query is one pass over
 the set, and one type, `ProjectionResult`, carries its outcome from each
 set's pass through unions and `project` to the caller.  Point clouds answer
-it through a lazily built leaf index that visits the nearest leaf and then,
-in one batch, every leaf within `tie_tol` of that leaf's smallest distance,
-so it returns exactly the distance and candidates a full scan would.  The
-one deliberately fatal case is projecting the center of a sphere, where the
-minimizer set is the whole sphere: that raises `DegenerateProjection`.
+it through a lazily built leaf index that visits, in one batch, every leaf
+whose box lies within `tie_tol` of an upper bound on the minimum -- the
+distance to the cloud's previous nearest point -- so it returns exactly the
+distance and candidates a full scan would.  The one deliberately fatal case
+is projecting the center of a sphere, where the minimizer set is the whole
+sphere: that raises `DegenerateProjection`.
 
-All operations are pure functions of their inputs; instances are treated as
-immutable after construction.
+Every query is a pure function of its inputs.  A point cloud memoises two
+things, its index (built on the first query) and its last nearest point;
+neither changes any result, and the set itself is immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -357,6 +360,10 @@ class _CloudIndex:
     change no minimum, and whose repeated index is dropped from the
     candidates.  A cloud of at most one leaf is a single bucket in its
     original order.
+
+    The index also remembers its last query's nearest point, `_winner`.
+    MAP queries move little from one to the next, so that point's distance
+    usually admits a single leaf to `search`.
     """
 
     def __init__(self, points: np.ndarray):
@@ -369,29 +376,43 @@ class _CloudIndex:
         self.points = points[ids].reshape(leaves, width, -1)
         self.lo = np.ascontiguousarray(self.points.min(axis=1).T)
         self.hi = np.ascontiguousarray(self.points.max(axis=1).T)
+        self._cloud = points
+        self._winner = 0  # original index of the last nearest point; any point will do
 
     def search(self, q: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Distances and original indices of the points in every leaf visited.
 
-        Every leaf's box bound comes from one vectorised pass.  The leaf with
-        the smallest bound is visited first, giving its smallest distance `d`;
-        then, in one batch, every other leaf whose bound does not exceed
-        `d + tie_tol`.  The minimum is at most `d`, so every point within
-        `tie_tol` of it lies in a visited leaf.
+        A cloud of one leaf is scanned whole.  Otherwise `reach`, an upper
+        bound on the cloud's minimum distance, is the distance from `q` to
+        the last query's winner (point 0 before the first query), whatever
+        that query was.  One vectorised pass bounds every leaf, and one
+        batch visits every leaf whose bound does not exceed
+        `reach + tie_tol`.  The minimum is at most `reach`, so every point
+        within `tie_tol` of it lies in a visited leaf.  The winner only
+        narrows the batch: the visited leaves always hold the minimum and
+        all of its ties, so no result depends on it.
         """
+        if len(self.ids) == 1:
+            return _dists(self.points[0], q), self.ids[0]
         col = q[:, None]
-        gap = self.lo - col
-        np.maximum(gap, col - self.hi, out=gap)
-        np.maximum(gap, 0.0, out=gap)
+        gap = np.maximum(self.lo, col)  # each box's nearest point to q ...
+        np.minimum(gap, self.hi, out=gap)
+        gap -= col  # ... less q
         gap *= gap
         bound = np.sqrt(gap.sum(axis=0))
         bound *= _BOUND_SLACK
-        first = int(bound.argmin())
-        bound[first] = math.inf
-        dists = _dists(self.points[first], q)
-        take = np.flatnonzero(bound <= dists.min() + tie_tol)
-        return (np.concatenate([dists, _dists(self.points[take].reshape(-1, q.size), q)]),
-                np.concatenate([self.ids[first], self.ids[take].ravel()]))
+        # The summed squares of `_dists`, in the same order (a row sum and a
+        # 1-D sum run the same loop), so `reach` equals the winner's distance
+        # in the batch below rather than undercutting it, and the slack that
+        # keeps any point's leaf at or below its distance keeps the winner's
+        # leaf and every tie's leaf.
+        reach = math.sqrt(((self._cloud[self._winner] - q) ** 2).sum())
+        take = (bound <= reach + tie_tol).nonzero()[0]
+        # `take` gathers faster than fancy indexing; one leaf is the usual batch
+        dists = _dists(self.points.take(take, axis=0).reshape(-1, q.size), q)
+        ids = self.ids.take(take, axis=0).ravel()
+        self._winner = int(ids[dists.argmin()])
+        return dists, ids
 
     def leaves_within(self, leaf: int, reach: float) -> np.ndarray:
         """Every leaf that may hold a point within `reach` of a point of `leaf`.

@@ -28,6 +28,11 @@ def render_json(obj, compact: bool = False, _indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt17(obj)
     if isinstance(obj, np.ndarray):
+        if (obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size
+                and np.isfinite(obj).all()):
+            # one %-format for the whole array; "%.17g" renders as fmt17 does
+            item = "%.17g" if obj.ndim == 1 else "[" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
+            return ("[" + ", ".join([item] * len(obj)) + "]") % tuple(obj.ravel().tolist())
         return render_json(obj.tolist(), compact, _indent)
     if isinstance(obj, (list, tuple)):
         items = [render_json(v, compact, _indent) for v in obj]
@@ -43,5 +48,5 @@ def render_json(obj, compact: bool = False, _indent: int = 0) -> str:
             f'{pad}  {json.dumps(str(k))}: {render_json(v, False, _indent + 2)}'
             for k, v in obj.items()
         )
-        return "{\n" + inner + "\n" + pad + "}"
+        return "".join(("{\n", inner, "\n", pad, "}"))  # copies `inner` once, not twice
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -16,8 +16,10 @@ import pytest
 from altproj import cli
 
 
-def _exported(path):
-    assert cli.main(["export-sets", "--horizon", "2000", "--out", str(path)]) == 0
+def _exported(horizon):
+    def write(path):
+        assert cli.main(["export-sets", "--horizon", str(horizon), "--out", str(path)]) == 0
+    return write
 
 
 def _box_ball(path):
@@ -45,9 +47,13 @@ CASES = [
     pytest.param(None, ["export-sets", "--horizon", "2000"],
                  "02a97e5e09c4f57d59621d71c55cb917e1e3f880b86469ecb3c2e566f4c4ea97",
                  id="export-sets"),
-    pytest.param(_exported, ["run"],
+    pytest.param(_exported(2000), ["run"],
                  "3dc8a8be15ef3a6b033b69173b21f5bb562ce8410a2aa5a42ca64f2c4853eecc",
                  id="run-exported"),
+    # the benchmark's size: 4 999 pairs on two 5 000-point clouds
+    pytest.param(_exported(10000), ["run"],
+                 "fe3bdfa7da445581aa7a88f42ad481b5f19931f468a761cf88a8b8f4f7d5b4e6",
+                 id="run-exported-10000"),
     pytest.param(None, ["union-batch", "--seeds", "200", "--dim", "3", "--members", "4"],
                  "872517a9d1992df04f33d3bd83bf34e19485635cd51db0302e98afcba39ee991",
                  id="union-batch"),

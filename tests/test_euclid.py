@@ -281,6 +281,21 @@ def test_json_renders_17_significant_digits():
     assert "0.10000000000000001" in render_json(Sphere([0.1, 0.0], 1.0).to_dict())
 
 
+@pytest.mark.parametrize("arr", [
+    np.array([0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308, 1 / 3, 1e16, -2.5]),
+    np.array([[0.1, -1e-300], [1e300, 2 / 3], [-0.0, 7.0]]),
+    np.array([[1.5]]), np.zeros(0), np.zeros((2, 0)), np.arange(3),
+])
+def test_json_renders_an_array_as_its_list(arr):
+    assert render_json(arr) == render_json(arr.tolist())
+
+
+@pytest.mark.parametrize("arr", [np.array([1.0, math.nan]), np.array([[1.0], [-math.inf]])])
+def test_json_rejects_a_non_finite_array(arr):
+    with pytest.raises(ValueError, match="cannot serialize non-finite value"):
+        render_json(arr)
+
+
 def test_spec_from_dict_errors_carry_paths():
     with pytest.raises(ValueError, match=r"spec\.type"):
         spec_from_dict({"type": "conic"})
@@ -418,7 +433,9 @@ def test_indexed_projection_matches_brute_force(dim, n, seed, layout, tol, parts
     if with_sphere:
         members.append(Sphere(rng.integers(-3, 4, size=dim) * 0.5,
                               float(rng.choice([0.5, 1.0, 2.0]))))
-    for q in queries:
+    # Asked again in reverse, each query meets the memory of a different,
+    # possibly distant, previous nearest point.
+    for q in queries + queries[::-1]:
         expected = _oracle([cloud], q, tol)
         _assert_matches_oracle(cloud.project(q, tol), expected)
         assert cloud.distance(q) == expected[0]
@@ -481,4 +498,18 @@ def test_search_gathers_a_tie_split_across_leaves():
     assert d < bounds[1 - first] <= d + tol
     res = cloud.project(q, tol)
     _assert_matches_oracle(res, _oracle([cloud], q, tol))
+    assert res.multivalued
+
+
+def test_search_gathers_a_tie_split_across_leaves_from_a_warm_start():
+    # The memory, moved to the right point and back to the left one, gives
+    # reach = 1 at q; the right leaf's bound, 1.1, is past reach but within
+    # reach + tie_tol, and its point at 1.1 is a tie.
+    cloud = _two_leaf_cloud([-1.0, 0.0], [1.1, 0.0])
+    cloud.project([1.1, 0.0], 0.3)
+    assert cloud._index._winner == LEAF_SIZE
+    cloud.project([-1.0, 0.0], 0.3)
+    assert cloud._index._winner == 0
+    res = cloud.project(O2, 0.3)
+    _assert_matches_oracle(res, _oracle([cloud], O2, 0.3))
     assert res.multivalued
