@@ -24,7 +24,7 @@ from .euclid import (
 )
 from .map_driver import MapConfig, MapTrace, Verdict, run
 from .sequence import SequenceReport, generate, verify_nearest
-from .spiral import BracketInvalid, alpha_chain, curve, eps, next_alpha, rho
+from .spiral import BracketInvalid, alpha_chain, eps, next_alpha, rho
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "Union",
     "Verdict",
     "alpha_chain",
-    "curve",
     "eps",
     "generate",
     "next_alpha",

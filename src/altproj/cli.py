@@ -72,9 +72,11 @@ def _cmd_run(args) -> int:
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = map_driver.config_from_dict(data)
+    del data  # the parsed lists would otherwise stay alive through the run
     trace = map_driver.run(config)
     with _open_out(args.trace_out) as out:
-        out.write(map_driver.trace_to_json(trace) + "\n")
+        out.write(map_driver.trace_to_json(trace))
+        out.write("\n")
     v = trace.verdict
     extras = []
     if v.limit is not None:

@@ -10,9 +10,12 @@ distance is within `tie_tol` of the optimum, and flags multivaluedness
 instead of silently picking a representative.  Every query is one pass over
 the set, and one type, `ProjectionResult`, carries its outcome from each
 set's pass through unions and `project` to the caller.  Point clouds answer
-it through a lazily built leaf index that visits, in one batch, every leaf
-whose box lies within `tie_tol` of an upper bound on the minimum -- the
-distance to the cloud's previous nearest point -- so it returns exactly the
+it through a lazily built leaf index.  The leaf of the cloud's previous
+nearest point gives an upper bound on the minimum, its smallest distance.
+When the ball of that radius plus `tie_tol` lies inside the leaf's k-d cell
+(the ball-within-bounds test of Friedman, Bentley and Finkel, ACM TOMS
+1977), that leaf alone answers; otherwise one batch visits every leaf whose
+box lies within that radius.  Either way the index returns exactly the
 distance and candidates a full scan would.  The one deliberately fatal case
 is projecting the center of a sphere, where the minimizer set is the whole
 sphere: that raises `DegenerateProjection`.
@@ -332,21 +335,34 @@ def _dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(((points - q) ** 2).sum(axis=1))
 
 
-def _median_order(points: np.ndarray, ids: np.ndarray, leaves: int, width: int) -> np.ndarray:
+def _median_order(points: np.ndarray, ids: np.ndarray, leaves: int, width: int,
+                  cell_lo: np.ndarray, cell_hi: np.ndarray) -> np.ndarray:
     """`ids` reordered so that consecutive runs of `width` form the leaves.
 
     Each split sorts along the widest coordinate and cuts at the leaf
-    boundary nearest the median, so every leaf but the last is full.
+    boundary nearest the median, so every leaf but the last is full.  It
+    also sets the faces of the leaves' k-d cells in `cell_lo`/`cell_hi`,
+    whose `(leaves, d)` rows belong to these leaves: on the split axis, the
+    left half's upper face is the right half's smallest coordinate and the
+    right half's lower face is the left half's largest.  A deeper split on
+    the same axis only tightens a face, so every point outside a leaf lies
+    on or beyond one of its cell's faces.  An axis that no split cuts keeps
+    the faces it was given.
     """
     if leaves == 1:
         return ids
     sub = points[ids]
     axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
-    ids = ids[np.argsort(sub[:, axis], kind="stable")]
+    order = np.argsort(sub[:, axis], kind="stable")
+    ids = ids[order]
     left = leaves // 2
     cut = left * width
-    return np.concatenate([_median_order(points, ids[:cut], left, width),
-                           _median_order(points, ids[cut:], leaves - left, width)])
+    cell_hi[:left, axis] = sub[order[cut], axis]
+    cell_lo[left:, axis] = sub[order[cut - 1], axis]
+    return np.concatenate([
+        _median_order(points, ids[:cut], left, width, cell_lo[:left], cell_hi[:left]),
+        _median_order(points, ids[cut:], leaves - left, width, cell_lo[left:], cell_hi[left:]),
+    ])
 
 
 class _CloudIndex:
@@ -361,58 +377,85 @@ class _CloudIndex:
     candidates.  A cloud of at most one leaf is a single bucket in its
     original order.
 
-    The index also remembers its last query's nearest point, `_winner`.
-    MAP queries move little from one to the next, so that point's distance
-    usually admits a single leaf to `search`.
+    Each leaf also has its k-d cell, the region the splits above it assign
+    to it, as `(L, d)` faces `cell_lo`/`cell_hi` (+-inf on an axis no split
+    cuts, so a single leaf's cell is the whole space).  Every point of the
+    cloud outside a leaf lies on or beyond one of its cell's faces.  The
+    index remembers its last query's nearest point by its slot in the leaf
+    layout, `_slot`, an index into `ids.ravel()`.  MAP queries move little
+    from one to the next, so the ball around a query that must hold its
+    nearest points usually lies inside that slot's cell.
     """
 
     def __init__(self, points: np.ndarray):
-        n, _ = points.shape
+        n, d = points.shape
         width = min(n, LEAF_SIZE)
         leaves = -(-n // width)
-        order = _median_order(points, np.arange(n), leaves, width)
+        self.cell_lo = np.full((leaves, d), -np.inf)
+        self.cell_hi = np.full((leaves, d), np.inf)
+        order = _median_order(points, np.arange(n), leaves, width, self.cell_lo, self.cell_hi)
         ids = np.concatenate([order, np.repeat(order[-1], leaves * width - n)])
         self.ids = ids.reshape(leaves, width)
         self.points = points[ids].reshape(leaves, width, -1)
         self.lo = np.ascontiguousarray(self.points.min(axis=1).T)
         self.hi = np.ascontiguousarray(self.points.max(axis=1).T)
-        self._cloud = points
-        self._winner = 0  # original index of the last nearest point; any point will do
+        self._slot = 0  # slot of the last nearest point; any slot will do
 
-    def search(self, q: np.ndarray, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and original indices of the points in every leaf visited.
+    def search(self, q: np.ndarray, tie_tol: float) -> tuple[float, list]:
+        """The minimum distance from `q` and the sorted original indices of
+        every point within `tie_tol` of it.
 
-        A cloud of one leaf is scanned whole.  Otherwise `reach`, an upper
-        bound on the cloud's minimum distance, is the distance from `q` to
-        the last query's winner (point 0 before the first query), whatever
-        that query was.  One vectorised pass bounds every leaf, and one
-        batch visits every leaf whose bound does not exceed
-        `reach + tie_tol`.  The minimum is at most `reach`, so every point
-        within `tie_tol` of it lies in a visited leaf.  The winner only
-        narrows the batch: the visited leaves always hold the minimum and
-        all of its ties, so no result depends on it.
+        `_dists` runs first on the leaf of the remembered slot alone, and
+        that leaf's minimum is `reach`, an upper bound on the cloud's
+        minimum whatever the previous query was.  Every nearest point then
+        lies within `reach + tie_tol` of `q`.  When that ball lies inside
+        the leaf's cell, the leaf holds every nearest point, and no other
+        leaf is visited.  The test is exact in floating point: rounding is
+        monotone, so a point on or beyond a face has a computed difference
+        on that axis of at least the computed face gap g, a computed square
+        of at least g * g as computed, and a computed distance of at least
+        `sqrt(g * g)` as computed.  The smallest gap is therefore taken
+        through that square and root and must exceed `reach + tie_tol`.
+        (For normal squares the root returns g itself; where g * g is
+        subnormal it may fall below g by far more than a few ulps.)  A query
+        outside the cell has a negative gap, and the same argument bounds
+        `reach` below by its root, since the leaf's points lie in the cell,
+        so the test fails as it must.
+
+        Otherwise one vectorised pass bounds every leaf's box, and one batch
+        visits every leaf whose bound does not exceed `reach + tie_tol`.  The
+        bounds are shrunk by `_BOUND_SLACK`, so the visited leaves hold the
+        minimum and all of its ties.  The remembered slot only narrows the
+        work, so no result depends on it.
         """
-        if len(self.ids) == 1:
-            return _dists(self.points[0], q), self.ids[0]
-        col = q[:, None]
-        gap = np.maximum(self.lo, col)  # each box's nearest point to q ...
-        np.minimum(gap, self.hi, out=gap)
-        gap -= col  # ... less q
-        gap *= gap
-        bound = np.sqrt(gap.sum(axis=0))
-        bound *= _BOUND_SLACK
-        # The summed squares of `_dists`, in the same order (a row sum and a
-        # 1-D sum run the same loop), so `reach` equals the winner's distance
-        # in the batch below rather than undercutting it, and the slack that
-        # keeps any point's leaf at or below its distance keeps the winner's
-        # leaf and every tie's leaf.
-        reach = math.sqrt(((self._cloud[self._winner] - q) ** 2).sum())
-        take = (bound <= reach + tie_tol).nonzero()[0]
-        # `take` gathers faster than fancy indexing; one leaf is the usual batch
-        dists = _dists(self.points.take(take, axis=0).reshape(-1, q.size), q)
-        ids = self.ids.take(take, axis=0).ravel()
-        self._winner = int(ids[dists.argmin()])
-        return dists, ids
+        width = self.ids.shape[1]
+        leaf = self._slot // width
+        take = [leaf]
+        dists = _dists(self.points[leaf], q)
+        ids = self.ids[leaf]
+        best = int(dists.argmin())
+        limit = float(dists[best]) + tie_tol
+        # the smallest gap from q to a face, in Python floats: on d-vectors
+        # that is twice as fast as the same subtractions in numpy
+        at = q.tolist()
+        gap = min(*map(operator.sub, at, self.cell_lo[leaf].tolist()),
+                  *map(operator.sub, self.cell_hi[leaf].tolist(), at))
+        if math.sqrt(gap * gap) <= limit:
+            col = q[:, None]
+            box = np.maximum(self.lo, col)  # each box's nearest point to q ...
+            np.minimum(box, self.hi, out=box)
+            box -= col  # ... less q
+            box *= box
+            bound = np.sqrt(box.sum(axis=0))
+            bound *= _BOUND_SLACK
+            take = (bound <= limit).nonzero()[0]
+            # `take` gathers faster than fancy indexing
+            dists = _dists(self.points.take(take, axis=0).reshape(-1, q.size), q)
+            ids = self.ids.take(take, axis=0).ravel()
+            best = int(dists.argmin())
+        dmin = float(dists[best])
+        self._slot = int(take[best // width]) * width + best % width
+        return dmin, sorted(set(ids[dists <= dmin + tie_tol].tolist()))
 
     def leaves_within(self, leaf: int, reach: float) -> np.ndarray:
         """Every leaf that may hold a point within `reach` of a point of `leaf`.
@@ -444,9 +487,7 @@ class PointCloud(ProjectorSpec):
         return _CloudIndex(self.points)
 
     def _nearest(self, q, tie_tol):
-        dists, ids = self._index.search(q, tie_tol)
-        dmin = float(dists.min())
-        near = sorted(set(ids[dists <= dmin + tie_tol].tolist()))
+        dmin, near = self._index.search(q, tie_tol)
         return ProjectionResult(dmin, _dedupe([self.points[i].copy() for i in near], tie_tol))
 
 
@@ -466,7 +507,10 @@ class Union(ProjectorSpec):
     def _nearest(self, q, tie_tol):
         results = [m._nearest(q, tie_tol) for m in self.members]
         dmin = min(r.distance for r in results)
-        near = [r.candidates for r in results if r.distance <= dmin + tie_tol]
+        near = [r for r in results if r.distance <= dmin + tie_tol]
+        if len(near) == 1:  # a member's own candidates are already deduplicated
+            return near[0]
+        near = [r.candidates for r in near]
         if None in near:  # a sphere queried at its center is among the minimizers
             return ProjectionResult(dmin, None)
         return ProjectionResult(dmin, _dedupe([p for cands in near for p in cands], tie_tol))

@@ -34,7 +34,7 @@ _SIN_QUARTER_PI = math.sin(0.5 * HALF_PI)
 
 __all__ = [
     "BracketInvalid", "CHUNK", "HALF_PI", "MAX_ALPHA", "STEP_UPPER_BOUND", "TWO_PI", "advance",
-    "alpha_chain", "chord_sq", "columns", "curve", "eps", "next_alpha", "rho",
+    "alpha_chain", "columns", "eps", "next_alpha", "rho",
 ]
 
 
@@ -84,23 +84,13 @@ def eps(t) -> float:
     return _eps(_angle("t", t))
 
 
-def curve(alpha) -> np.ndarray:
-    """Curve point at `alpha` as a 2-vector."""
-    return np.array(_curve_xy(_angle("alpha", alpha)))
-
-
-def chord_sq(alpha, t) -> float:
-    """Squared distance between the curve points at `alpha` and `alpha + t`."""
-    return _chord_sq(_angle("alpha", alpha), _angle("t", t))
-
-
 def _libm(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
 
 
 def columns(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Radius, step size and curve point (an (n, 2) array) at each angle,
-    bit for bit the values of `rho`, `eps` and `curve`.
+    bit for bit the values of `rho`, `eps` and `_curve_xy`.
 
     The exponentials and the sines and cosines come from `math` (libm), one
     slice of `CHUNK` angles at a time: numpy's own `exp`, `sin` and `cos` may
@@ -127,7 +117,7 @@ def columns(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def advance(alpha: float, t_guess: float) -> float:
     """Smallest angle beyond `alpha` whose curve point is eps(alpha) away.
 
-    Newton's method on f(t) = chord_sq(alpha, t) - eps(alpha)^2, starting
+    Newton's method on f(t) = _chord_sq(alpha, t) - eps(alpha)^2, starting
     from the increment `t_guess` (from the bracket midpoint if the guess is
     outside it), inside the quarter-turn bracket (0, pi/2] where f increases
     strictly: each evaluation shrinks the bracket, and a step that would

@@ -507,9 +507,57 @@ def test_search_gathers_a_tie_split_across_leaves_from_a_warm_start():
     # reach + tie_tol, and its point at 1.1 is a tie.
     cloud = _two_leaf_cloud([-1.0, 0.0], [1.1, 0.0])
     cloud.project([1.1, 0.0], 0.3)
-    assert cloud._index._winner == LEAF_SIZE
+    assert cloud._index.ids.flat[cloud._index._slot] == LEAF_SIZE
     cloud.project([-1.0, 0.0], 0.3)
-    assert cloud._index._winner == 0
+    assert cloud._index.ids.flat[cloud._index._slot] == 0
     res = cloud.project(O2, 0.3)
     _assert_matches_oracle(res, _oracle([cloud], O2, 0.3))
+    assert res.multivalued
+
+
+@given(dim=st.integers(1, 4), n=st.integers(1, 9 * LEAF_SIZE), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["generic", "curve", "stacks", "grid"]))
+@settings(max_examples=100, deadline=None)
+def test_every_point_outside_a_leaf_is_on_or_beyond_its_cell(dim, n, seed, layout):
+    pts = _cloud_layout(layout, np.random.default_rng(seed), n, dim)
+    index = PointCloud(pts)._index
+    for leaf, ids in enumerate(index.ids):
+        lo, hi = index.cell_lo[leaf], index.cell_hi[leaf]
+        assert ((lo <= pts[ids]) & (pts[ids] <= hi)).all()
+        outside = np.ones(n, dtype=bool)
+        outside[ids] = False
+        assert ((pts[outside] <= lo) | (pts[outside] >= hi)).any(axis=1).all()
+
+
+def test_coherent_walk_matches_the_scan():
+    # Curve points on a dyadic grid, so each midpoint query is at exactly
+    # the same distance from both of its points: every answer is a tie, and
+    # each point that gives a cell its face is one of them.
+    pts = np.round(_cloud_layout("curve", np.random.default_rng(7), 5 * LEAF_SIZE + 9, 2)
+                   * 2.0**20) / 2.0**20
+    cloud = PointCloud(pts)
+    index = cloud._index
+    assert len(index.ids) >= 4
+    faces = np.concatenate([index.cell_lo, index.cell_hi])
+    tie_on_face = False
+    for q in (pts[:-1] + pts[1:]) / 2.0:
+        res = cloud.project(q, 1e-9)
+        _assert_matches_oracle(res, _oracle([cloud], q, 1e-9))
+        tie_on_face |= res.multivalued and any((c == faces).any() for c in res.candidates)
+    assert tie_on_face
+
+
+def test_face_test_holds_where_squares_are_subnormal():
+    # One leaf holds -b, the other b, both at the computed distance
+    # sqrt(b * b) from the origin, which is below b once b * b is
+    # subnormal.  A face test on the bare gap b would answer from the
+    # first leaf alone and lose the tie.
+    b = 1e-160
+    assert math.sqrt(b * b) < b * (1.0 - 8.0 * np.finfo(np.float64).eps)
+    far = np.linspace(1.0, 2.0, LEAF_SIZE - 1)
+    cloud = PointCloud(np.concatenate([-far, [-b, b], far])[:, None])
+    assert cloud._index.cell_hi[0, 0] == b
+    q = np.zeros(1)
+    res = cloud.project(q, 1e-300)
+    _assert_matches_oracle(res, _oracle([cloud], q, 1e-300))
     assert res.multivalued

@@ -11,10 +11,10 @@ from altproj.spiral import (
     HALF_PI,
     TWO_PI,
     BracketInvalid,
+    _chord_sq,
+    _curve_xy,
     advance,
     alpha_chain,
-    chord_sq,
-    curve,
     eps,
     next_alpha,
     rho,
@@ -60,8 +60,6 @@ def test_rho_rejects_negative_and_nonfinite():
         rho(math.nan)
     with pytest.raises(ValueError):
         eps(-1.0)
-    with pytest.raises(ValueError):
-        curve(-2.0)
 
 
 def test_eps_initial_value():
@@ -92,17 +90,17 @@ def test_eps_ratio_closed_form_and_monotone():
 
 
 def test_curve_examples():
-    np.testing.assert_array_equal(curve(0.0), [2.0, 0.0])
-    quarter = curve(HALF_PI)
+    np.testing.assert_array_equal(_curve_xy(0.0), [2.0, 0.0])
+    quarter = _curve_xy(HALF_PI)
     assert abs(quarter[0]) <= 1e-15
     assert quarter[1] == 1.0 + math.exp(-HALF_PI)
-    full = curve(TWO_PI)
+    full = _curve_xy(TWO_PI)
     assert full[0] == pytest.approx(1.0 + math.exp(-TWO_PI), abs=1e-15)
     assert abs(full[1]) <= 1e-15
 
 
 def test_curve_injective_on_samples():
-    pts = [tuple(curve(t)) for t in np.linspace(0.0, 20.0, 400).tolist()]
+    pts = [_curve_xy(t) for t in np.linspace(0.0, 20.0, 400).tolist()]
     assert len(set(pts)) == len(pts)
 
 
@@ -115,19 +113,19 @@ def test_columns_equal_scalar_functions():
         for i, a in enumerate(angles[:size].tolist()):
             assert rhos[i] == rho(a)
             assert epss[i] == eps(a)
-            np.testing.assert_array_equal(points[i], curve(a))
+            np.testing.assert_array_equal(points[i], _curve_xy(a))
 
 
 def test_chord_sq_zero_at_origin_and_right_angle():
-    assert chord_sq(0.3, 0.0) == 0.0
-    val = chord_sq(0.0, HALF_PI)
+    assert _chord_sq(0.3, 0.0) == 0.0
+    val = _chord_sq(0.0, HALF_PI)
     assert val == pytest.approx(rho(0.0) ** 2 + rho(HALF_PI) ** 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0])
 def test_chord_sq_monotone_on_quarter_turn(alpha):
     ts = np.linspace(0.0, HALF_PI, 100).tolist()
-    vals = [chord_sq(alpha, t) for t in ts]
+    vals = [_chord_sq(alpha, t) for t in ts]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -150,7 +148,7 @@ def test_next_alpha_residuals_over_random_angles():
     worst = 0.0
     for a in alphas.tolist():
         b = next_alpha(a)
-        resid = abs(float(np.linalg.norm(curve(b) - curve(a))) - eps(a))
+        resid = abs(float(np.linalg.norm(np.subtract(_curve_xy(b), _curve_xy(a)))) - eps(a))
         worst = max(worst, resid)
     assert worst <= 1e-14
 
@@ -169,7 +167,7 @@ def test_unique_sign_change_on_grid(alpha):
     # would step straight over it at large angles
     e2 = eps(alpha) ** 2
     ts = np.geomspace(1e-13, HALF_PI, 10_000)
-    signs = np.sign([chord_sq(alpha, t) - e2 for t in ts.tolist()])
+    signs = np.sign([_chord_sq(alpha, t) - e2 for t in ts.tolist()])
     flips = int(np.count_nonzero(np.diff(signs) != 0))
     assert flips == 1
 
