@@ -40,11 +40,9 @@ def _open_out(path: str):
 
 def _cmd_gen(args) -> int:
     report = sequence.generate(args.n)
+    write = sequence.write_csv if args.format == "csv" else sequence.write_json
     with _open_out(args.out) as out:
-        if args.format == "csv":
-            sequence.write_csv(report, out)
-        else:
-            out.write(render_json(sequence.records_to_json_obj(report)) + "\n")
+        write(report, out)
     return EXIT_OK
 
 
@@ -68,7 +66,7 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             data = json.load(handle, parse_constant=_reject_constant)
-    except ValueError as exc:  # also json.JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # also json.JSONDecodeError, too deep nesting
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = map_driver.config_from_dict(data)

@@ -16,9 +16,11 @@ from .serialize import fmt17
 
 #: Number of polyline samples along the spiral.
 CURVE_SAMPLES = 2000
+#: Width and height of the SVG, in pixels.
+SVG_SIZE = 640
 
 
-def render_spiral_svg(report: SequenceReport, size: int = 640) -> str:
+def render_spiral_svg(report: SequenceReport) -> str:
     """SVG with the spiral up to the last recorded angle, the unit circle,
     one marker per iterate, and one construction circle of radius eps per
     iterate (the circle the next iterate lies on)."""
@@ -26,7 +28,7 @@ def render_spiral_svg(report: SequenceReport, size: int = 640) -> str:
     alphas = report.alphas
     epss = report.epss
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="-2.7 -2.7 5.4 5.4">',
         '<g transform="scale(1,-1)">',
         '<circle class="unit-circle" cx="0" cy="0" r="1" fill="none" '

@@ -24,6 +24,8 @@ from .serialize import render_json
 
 #: Default convergence / membership tolerance.
 DEFAULT_TOL = 1e-8
+#: MAP iteration budget of a generated scenario.
+SCENARIO_MAX_ITER = 4000
 
 OUTCOME_PASS = "pass"
 OUTCOME_FAIL = "fail"
@@ -88,8 +90,7 @@ def _random_member(rng: np.random.Generator, c: np.ndarray) -> ProjectorSpec:
     return Halfspace(normal, float(np.dot(normal, c)) + slack)
 
 
-def generate_scenario(seed: int, dim: int = 2, members_per_side: int = 3,
-                      max_iter: int = 4000) -> UnionScenario:
+def generate_scenario(seed: int, dim: int = 2, members_per_side: int = 3) -> UnionScenario:
     """Deterministic random scenario with a planted common point.
 
     Member counts are drawn in 1..members_per_side; the start lies within a
@@ -108,7 +109,7 @@ def generate_scenario(seed: int, dim: int = 2, members_per_side: int = 3,
     direction = rng.normal(size=dim)
     direction /= _norm(direction)
     start = c + float(rng.uniform(0.0, 10.0)) * direction
-    return UnionScenario(a_members, b_members, start, int(seed), int(max_iter), c)
+    return UnionScenario(a_members, b_members, start, int(seed), SCENARIO_MAX_ITER, c)
 
 
 @dataclass(eq=False)

@@ -4,8 +4,8 @@ Given closed sets A and B and a starting point, `run` iterates
 a_n = P_A(b_{n-1}), b_n = P_B(a_n), capturing every iterate, the step norms,
 and any multivalued projection events.  The verdict classifies the run:
 
-* converged_to_point -- both latest step norms fell below `stop_step` and
-  the last few iterates coincide to 10x that tolerance;
+* converged_to_point -- both latest step norms fell below `stop_step`, so
+  the last three iterates lie within 2x that tolerance of each other;
 * continuum_suspected -- steps became small (below 1000x `stop_step`) yet
   the tail iterates stay spread out (beyond 100x `stop_step`).  Planar tails
   also report their angular spread.  This is a diagnostic heuristic, not a
@@ -147,12 +147,9 @@ def _step(spec: ProjectorSpec, point: np.ndarray, which: str, iteration: int,
     return result.candidates[0]
 
 
-def _max_pairwise(points) -> float:
-    worst = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            worst = max(worst, euclid._norm(points[i] - points[j]))
-    return worst
+def _diameter(points: np.ndarray) -> float:
+    """Largest distance between two rows of `points`, an `(n, d)` array."""
+    return math.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2).max())
 
 
 def run(config: MapConfig) -> MapTrace:
@@ -185,17 +182,13 @@ def run(config: MapConfig) -> MapTrace:
 def _classify(a: np.ndarray, b: np.ndarray, step_ab: np.ndarray, step_ba: np.ndarray,
               stop: float, stopped: bool) -> Verdict:
     iters = len(a)
-    if stopped:
-        tail = [a[-1], b[-1]]
-        if len(b) >= 2:
-            tail.append(b[-2])
-        if _max_pairwise(tail) <= 10.0 * stop:
-            return Verdict(VERDICT_CONVERGED, iters, limit=b[-1].copy())
+    if stopped:  # a[-1] is within `stop` of b[-2] and of b[-1]
+        return Verdict(VERDICT_CONVERGED, iters, limit=b[-1].copy())
     if stop > 0.0 and step_ba.size:
         small = (step_ab[-1] < stop * CONTINUUM_STEP_FACTOR
                  and step_ba[-1] < stop * CONTINUUM_STEP_FACTOR)
         tail_pts = a[-min(CONTINUUM_TAIL, iters):]
-        if small and _max_pairwise(tail_pts) > stop * CONTINUUM_SPREAD_FACTOR:
+        if small and _diameter(tail_pts) > stop * CONTINUUM_SPREAD_FACTOR:
             radii = np.array([euclid._norm(p) for p in tail_pts])
             spread = None
             if a.shape[1] == 2:  # angles describe planar tails only

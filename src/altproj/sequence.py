@@ -30,15 +30,20 @@ __all__ = [
     "check_halfangle_identity",
     "check_step_identity",
     "generate",
-    "records_to_json_obj",
     "run_verification",
     "verify_nearest",
     "write_csv",
+    "write_json",
 ]
 
 CSV_HEADER = "n,alpha,delta,rho,eps,x,y"
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 _CSV_LAST_ROW = "%d,%.17g,,%.17g,%.17g,%.17g,%.17g\n"  # no successor, no delta
+# `serialize.render_json`'s layout of a list of objects; the final one has no successor
+_JSON_ROW = ('{\n  "n": %d,\n  "alpha": %.17g,\n  "delta": %.17g,\n  "rho": %.17g,\n'
+             '  "eps": %.17g,\n  "x": [%.17g, %.17g],\n  "q": %.17g\n}, ')
+_JSON_LAST_ROW = ('{\n  "n": %d,\n  "alpha": %.17g,\n  "delta": null,\n  "rho": %.17g,\n'
+                  '  "eps": %.17g,\n  "x": [%.17g, %.17g],\n  "q": null\n}')
 
 #: Floats in each of the two distance buffers of `verify_nearest`.
 _SCRATCH = 1 << 15
@@ -274,44 +279,43 @@ def run_verification(report: SequenceReport,
     return results
 
 
-def write_csv(report: SequenceReport, stream) -> None:
-    """Write one row per iterate; `delta` is empty on the final row.
+def _write_rows(report: SequenceReport, stream, head: str, row: str, last_row: str,
+                tail: str, extra: tuple = ()) -> None:
+    """Write `head`, one `row` per iterate but the last, `last_row`, then `tail`.
 
-    Floats get 17 significant digits, as `serialize.fmt17` renders them, and
-    a non-finite value raises ValueError.  Rows are formatted `spiral.CHUNK`
-    at a time from a small float table whose first column is the index
-    (exact as a float).
+    `row` takes n, alpha, delta, rho, eps, x, y and one value per `extra`
+    column; `last_row` takes n, alpha, rho, eps, x, y.  Rows are formatted
+    `spiral.CHUNK` at a time from a float table whose first column is n
+    (exact as a float); a non-finite value raises ValueError.
     """
-    stream.write(CSV_HEADER + "\n")
+    stream.write(head)
     last = len(report) - 1
-    if last < 0:
-        return
-    alphas, rhos, epss, pts = report.alphas, report.rhos, report.epss, report.points
-    cols = (alphas, report.deltas, rhos, epss, pts[:, 0], pts[:, 1])
-    table = np.empty((min(spiral.CHUNK, last), 7))
-    for start in range(0, last, spiral.CHUNK):
-        block = table[:min(spiral.CHUNK, last - start)]
-        k = len(block)
-        block[:, 0] = np.arange(start, start + k)
-        for j, col in enumerate(cols, 1):
-            block[:, j] = col[start:start + k]
-        if not np.isfinite(block).all():
-            raise ValueError(f"cannot serialize a non-finite value in rows {start}..{start + k - 1}")
-        stream.write((_CSV_ROW * k) % tuple(block.ravel().tolist()))
-    row = (alphas[last], rhos[last], epss[last], pts[last, 0], pts[last, 1])
-    if not np.isfinite(row).all():
-        raise ValueError(f"cannot serialize a non-finite value in row {last}")
-    stream.write(_CSV_LAST_ROW % (last, *row))
+    if last >= 0:
+        alphas, rhos, epss, pts = report.alphas, report.rhos, report.epss, report.points
+        cols = (alphas, report.deltas, rhos, epss, pts[:, 0], pts[:, 1], *extra)
+        table = np.empty((min(spiral.CHUNK, last), len(cols) + 1))
+        for start in range(0, last, spiral.CHUNK):
+            stop = min(start + spiral.CHUNK, last)
+            block = np.stack([np.arange(start, stop), *(col[start:stop] for col in cols)],
+                             axis=1, out=table[:stop - start])
+            if not np.isfinite(block).all():
+                raise ValueError(f"cannot serialize a non-finite value in rows {start}..{stop - 1}")
+            stream.write((row * (stop - start)) % tuple(block.ravel().tolist()))
+        final = (alphas[last], rhos[last], epss[last], pts[last, 0], pts[last, 1])
+        if not np.isfinite(final).all():
+            raise ValueError(f"cannot serialize a non-finite value in row {last}")
+        stream.write(last_row % (last, *final))
+    stream.write(tail)
 
 
-def records_to_json_obj(report: SequenceReport) -> list[dict]:
-    """One JSON-ready object per iterate: n, alpha, delta, rho, eps, x and q
-    (the radius ratio of the successor); `delta` and `q` are None on the
-    final one."""
-    return [
-        {"n": n, "alpha": alpha, "delta": delta, "rho": rho, "eps": eps, "x": x, "q": q}
-        for n, (alpha, delta, rho, eps, x, q) in enumerate(zip(
-            report.alphas.tolist(), report.deltas.tolist() + [None],
-            report.rhos.tolist(), report.epss.tolist(), report.points.tolist(),
-            report.qs.tolist() + [None]))
-    ]
+def write_csv(report: SequenceReport, stream) -> None:
+    """Write one CSV row per iterate, floats as `serialize.fmt17` renders them
+    (a non-finite one raises ValueError); `delta` is empty on the final row."""
+    _write_rows(report, stream, CSV_HEADER + "\n", _CSV_ROW, _CSV_LAST_ROW, "")
+
+
+def write_json(report: SequenceReport, stream) -> None:
+    """Write, with a newline, what `serialize.render_json` renders for one object
+    per iterate: n, alpha, delta, rho, eps, x and q (the radius ratio of the
+    successor), null `delta` and `q` on the final one; non-finite raises ValueError."""
+    _write_rows(report, stream, "[", _JSON_ROW, _JSON_LAST_ROW, "]\n", (report.qs,))

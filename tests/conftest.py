@@ -8,7 +8,7 @@ import pytest
 
 from altproj import sequence
 from altproj.euclid import DimensionMismatch, _as_cloud, as_point
-from altproj.serialize import fmt17
+from altproj.serialize import fmt17, render_json
 from altproj.spiral import HALF_PI, BracketInvalid, _chord_sq, _eps, _rho
 
 
@@ -96,6 +96,25 @@ def write_csv_rows(report: sequence.SequenceReport, stream) -> None:
         d = fmt17(deltas[i]) if i < last else ""
         stream.write(f"{i},{fmt17(alphas[i])},{d},{fmt17(rhos[i])},"
                      f"{fmt17(epss[i])},{fmt17(pts[i, 0])},{fmt17(pts[i, 1])}\n")
+
+
+def records_to_json_obj(report: sequence.SequenceReport) -> list[dict]:
+    """One JSON-ready object per iterate: n, alpha, delta, rho, eps, x and q
+    (the radius ratio of the successor); `delta` and `q` are None on the
+    final one."""
+    return [
+        {"n": n, "alpha": alpha, "delta": delta, "rho": rho, "eps": eps, "x": x, "q": q}
+        for n, (alpha, delta, rho, eps, x, q) in enumerate(zip(
+            report.alphas.tolist(), report.deltas.tolist() + [None],
+            report.rhos.tolist(), report.epss.tolist(), report.points.tolist(),
+            report.qs.tolist() + [None]))
+    ]
+
+
+def write_json_objects(report: sequence.SequenceReport, stream) -> None:
+    """The object-at-a-time JSON writer: `sequence.write_json` must write the
+    same bytes."""
+    stream.write(render_json(records_to_json_obj(report)) + "\n")
 
 
 def advance_with_full_bracket(alpha: float, t_guess: float) -> float:

@@ -213,6 +213,32 @@ def test_run_malformed_json(tmp_path):
     assert main(["run", "--config", str(config), "--trace-out", "-"]) == EXIT_USAGE
 
 
+def _nested_unions(depth):
+    leaf = json.dumps(TWO_BOX_CONFIG["A"])
+    return ('{"A": ' + '{"type": "union", "members": [' * depth + leaf + "]}" * depth
+            + ', "B": ' + json.dumps(TWO_BOX_CONFIG["B"]) + ', "start": [3.0, 0.5]}')
+
+
+@pytest.mark.parametrize("text", ["[" * 50_000 + "]" * 50_000, _nested_unions(3_000)],
+                         ids=["nested-lists", "nested-unions"])
+def test_run_rejects_too_deep_nesting(tmp_path, capsys, text):
+    # nesting deeper than the JSON reader's recursion limit is a config error
+    config = tmp_path / "deep.json"
+    config.write_text(text)
+    assert main(["run", "--config", str(config), "--trace-out", "-"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: {config}: maximum recursion depth")
+
+
+def test_run_accepts_nested_unions(tmp_path, capsys):
+    config = tmp_path / "nested.json"
+    config.write_text(_nested_unions(400))
+    assert main(["run", "--config", str(config), "--trace-out", str(tmp_path / "t")]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("verdict: converged_to_point")
+
+
 def test_run_missing_config():
     assert main(["run", "--config", "/nonexistent/config.json"]) == EXIT_IO
 

@@ -1,8 +1,10 @@
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,19 +21,25 @@ from altproj.sequence import (
     check_halfangle_identity,
     check_step_identity,
     generate,
-    records_to_json_obj,
     verify_nearest,
     write_csv,
+    write_json,
 )
-from conftest import nearest_scan, write_csv_rows
+from conftest import nearest_scan, write_csv_rows, write_json_objects
 
 TWO_PI = 2.0 * math.pi
+
+
+def _json_objects(report):
+    buf = io.StringIO()
+    write_json(report, buf)
+    return json.loads(buf.getvalue())
 
 
 def test_generate_single_record():
     report = generate(1)
     assert len(report) == 1
-    assert [obj["n"] for obj in records_to_json_obj(report)] == [0]
+    assert [obj["n"] for obj in _json_objects(report)] == [0]
     assert report.alphas[0] == 0.0
     assert report.rhos[0] == 2.0
     assert report.epss[0] == pytest.approx(0.4990663, abs=1e-7)
@@ -48,7 +56,7 @@ def test_generate_validates_n_max():
 
 
 def test_first_sixteen_records(report_300):
-    assert [obj["n"] for obj in records_to_json_obj(report_300)[:16]] == list(range(16))
+    assert [obj["n"] for obj in _json_objects(report_300)[:16]] == list(range(16))
     for delta in report_300.deltas[:15].tolist():
         assert 0.0 < delta <= spiral.STEP_UPPER_BOUND
     epss = report_300.epss[:16].tolist()
@@ -277,7 +285,7 @@ def test_csv_export():
 
 def test_json_records():
     report = generate(3)
-    objs = records_to_json_obj(report)
+    objs = _json_objects(report)
     assert len(objs) == 3
     assert objs[0]["n"] == 0
     assert objs[0]["x"] == [2.0, 0.0]
@@ -286,8 +294,11 @@ def test_json_records():
     assert objs[0]["delta"] == report.deltas[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, spiral.CHUNK - 1, spiral.CHUNK, spiral.CHUNK + 1,
-                               2 * spiral.CHUNK + 1])
+#: Report sizes that straddle the block edges of the row writer.
+_BLOCK_EDGES = [1, 2, spiral.CHUNK - 1, spiral.CHUNK, spiral.CHUNK + 1, 2 * spiral.CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_csv_equals_row_writer(n):
     # the sizes straddle the block edges of the writer
     report = generate(n)
@@ -305,16 +316,72 @@ def test_csv_of_empty_report_is_the_header():
     assert buf.getvalue() == "n,alpha,delta,rho,eps,x,y\n"
 
 
-@pytest.mark.parametrize("column, bad", [("alphas", math.nan), ("rhos", math.inf),
-                                         ("epss", -math.inf), ("points", math.nan),
-                                         ("points", math.inf)])
-@pytest.mark.parametrize("row", [0, spiral.CHUNK + 2, spiral.CHUNK + 9])
-def test_csv_rejects_non_finite(report_10k, column, bad, row):
-    # row CHUNK + 9 is the final row, written on its own; an infinite angle
-    # is left out because the report itself rejects it
-    cols = {name: getattr(report_10k, name)[:spiral.CHUNK + 10].copy()
+def _corrupted(report, column, row, bad):
+    cols = {name: getattr(report, name)[:spiral.CHUNK + 10].copy()
             for name in ("alphas", "rhos", "epss", "points")}
     cols[column][row] = bad
-    report = SequenceReport(cols["alphas"], cols["rhos"], cols["epss"], cols["points"])
+    with np.errstate(divide="ignore"):
+        return SequenceReport(cols["alphas"], cols["rhos"], cols["epss"], cols["points"])
+
+
+# row CHUNK + 9 is the final row, written on its own; an infinite angle is
+# left out because the report itself rejects it
+_NON_FINITE = pytest.mark.parametrize("column, bad", [
+    ("alphas", math.nan), ("rhos", math.inf), ("epss", -math.inf), ("points", math.nan),
+    ("points", math.inf)])
+_CORRUPT_ROWS = pytest.mark.parametrize("row", [0, spiral.CHUNK + 2, spiral.CHUNK + 9])
+
+
+@_NON_FINITE
+@_CORRUPT_ROWS
+def test_csv_rejects_non_finite(report_10k, column, bad, row):
     with pytest.raises(ValueError, match="non-finite"):
-        write_csv(report, io.StringIO())
+        write_csv(_corrupted(report_10k, column, row, bad), io.StringIO())
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_json_equals_object_writer(n):
+    report = generate(n)
+    fast, objects = io.StringIO(), io.StringIO()
+    write_json(report, fast)
+    write_json_objects(report, objects)
+    assert fast.getvalue() == objects.getvalue()
+
+
+def test_json_of_empty_report_is_an_empty_list():
+    empty = np.empty(0)
+    report = SequenceReport(empty, empty.copy(), empty.copy(), np.empty((0, 2)))
+    buf = io.StringIO()
+    write_json(report, buf)
+    assert buf.getvalue() == "[]\n"
+
+
+@_NON_FINITE
+@_CORRUPT_ROWS
+def test_json_rejects_non_finite(report_10k, column, bad, row):
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(_corrupted(report_10k, column, row, bad), io.StringIO())
+
+
+@pytest.mark.parametrize("row", [0, spiral.CHUNK + 2])
+def test_json_rejects_non_finite_radius_ratio(report_10k, row):
+    # a zero radius is finite, but the radius ratio q of its row is not
+    report = _corrupted(report_10k, "rhos", row, 0.0)
+    assert not np.isfinite(report.qs[row])
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(report, io.StringIO())
+
+
+@pytest.mark.parametrize("write", [write_csv, write_json])
+def test_writers_hold_one_block_in_memory(write):
+    # the peak traced allocation while writing 5e4 rows stays under a bound
+    # that does not grow with the report: one block of rows at a time
+    report = generate(50_000)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            write(report, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20
