@@ -69,7 +69,11 @@ def _cmd_run(args) -> int:
     except (ValueError, RecursionError) as exc:  # also json.JSONDecodeError, too deep nesting
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config = map_driver.config_from_dict(data)
+    try:
+        config = map_driver.config_from_dict(data)
+    except RecursionError as exc:  # the set readers recurse deeper per level than json.load
+        print(f"config error: {args.config}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     del data  # the parsed lists would otherwise stay alive through the run
     trace = map_driver.run(config)
     with _open_out(args.trace_out) as out:

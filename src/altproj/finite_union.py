@@ -18,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import map_driver
-from .euclid import Ball, Box, Halfspace, PointCloud, ProjectorSpec, Union, _norm
+from .euclid import DEFAULT_TIE_TOL, Ball, Box, Halfspace, PointCloud, ProjectorSpec, Union, _norm
 from .map_driver import VERDICT_CONVERGED, MapConfig
-from .serialize import render_json
 
 #: Default convergence / membership tolerance.
 DEFAULT_TOL = 1e-8
@@ -43,7 +42,6 @@ __all__ = [
     "generate_scenario",
     "run_batch",
     "scenario_config",
-    "verdict_to_obj",
 ]
 
 
@@ -151,9 +149,11 @@ def check_theorem(scenario: UnionScenario, tol: float = DEFAULT_TOL) -> Converge
     limit = trace.verdict.limit
     in_intersection = False
     if limit is not None:
-        in_intersection = (
-            min(m.distance(limit) for m in scenario.a_members) <= tol
-            and min(m.distance(limit) for m in scenario.b_members) <= tol
+        # the limit is a MAP iterate, a finite float64 point of the members'
+        # dimension, so `_nearest` measures it without `distance`'s query checks
+        in_intersection = all(
+            min(m._nearest(limit, DEFAULT_TIE_TOL).distance for m in members) <= tol
+            for members in (scenario.a_members, scenario.b_members)
         )
     return ConvergenceVerdict(
         converged=converged,
@@ -178,29 +178,42 @@ def classify(verdict: ConvergenceVerdict) -> str:
     return OUTCOME_FAIL
 
 
-def verdict_to_obj(seed: int, verdict: ConvergenceVerdict) -> dict:
-    return {
-        "seed": seed,
-        "outcome": classify(verdict),
-        "converged": verdict.converged,
-        "limit": None if verdict.limit is None else verdict.limit.tolist(),
-        "limit_in_intersection": verdict.limit_in_intersection,
-        "gaps_vanished": verdict.gaps_vanished,
-        "bounded": verdict.bounded,
-        "iterations_used": verdict.iterations_used,
-    }
+def _line_template(limit: str) -> str:
+    """One verdict's JSON line with `limit` in the limit's place: seed,
+    outcome, converged, limit_in_intersection, gaps_vanished, bounded and
+    iterations_used fill the other fields, in that order."""
+    return ('{"seed": %d, "outcome": "%s", "converged": %s, "limit": ' + limit
+            + ', "limit_in_intersection": %s, "gaps_vanished": %s, "bounded": %s,'
+            ' "iterations_used": %d}\n')
+
+
+_JSON_BOOL = ("false", "true")
 
 
 def run_batch(seeds, dim: int = 2, members_per_side: int = 3,
               tol: float = DEFAULT_TOL, stream=None) -> dict:
     """Run scenarios for every seed (in order), optionally writing JSON lines.
 
+    Each line is one object: seed, outcome, converged, limit (null without
+    one), limit_in_intersection, gaps_vanished, bounded and iterations_used,
+    floats with 17 significant digits as `serialize.fmt17` writes them.  A
+    limit is only set on a converged run, whose last steps are finite, so
+    its coordinates are finite.
+
     Returns outcome counts: {"pass": _, "fail": _, "hypotheses_not_met": _}.
     """
     counts = {OUTCOME_PASS: 0, OUTCOME_FAIL: 0, OUTCOME_HYPOTHESES_NOT_MET: 0}
+    no_limit = _line_template("null")
+    with_limit = _line_template("[" + ", ".join(["%.17g"] * dim) + "]")
     for seed in seeds:
         verdict = check_theorem(generate_scenario(seed, dim, members_per_side), tol)
-        counts[classify(verdict)] += 1
+        outcome = classify(verdict)
+        counts[outcome] += 1
         if stream is not None:
-            stream.write(render_json(verdict_to_obj(seed, verdict), compact=True) + "\n")
+            limit = verdict.limit
+            template, coords = (no_limit, ()) if limit is None else (with_limit, limit.tolist())
+            stream.write(template % (seed, outcome, _JSON_BOOL[verdict.converged], *coords,
+                                     _JSON_BOOL[verdict.limit_in_intersection],
+                                     _JSON_BOOL[verdict.gaps_vanished],
+                                     _JSON_BOOL[verdict.bounded], verdict.iterations_used))
     return counts

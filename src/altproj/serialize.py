@@ -1,7 +1,10 @@
 """Deterministic text rendering for exports.
 
 Floats are rendered with 17 significant digits, which round-trips binary64
-exactly and is byte-stable across runs.
+exactly and is byte-stable across runs.  `render_json` writes one indented
+document, such as a run config or a trace.  Writers of many small records
+-- the `gen` table and the `union-batch` verdict lines -- fill `%`
+templates instead, whose `%.17g` renders a finite float as `fmt17` does.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ def fmt17(x) -> str:
     return format(v, ".17g")
 
 
-def render_json(obj, compact: bool = False, _indent: int = 0) -> str:
+def render_json(obj, _indent: int = 0) -> str:
     """Render JSON with fmt17 floats.  Supports dict/list/str/bool/None/numbers."""
     if obj is None or obj is True or obj is False or isinstance(obj, str):
         return json.dumps(obj)
@@ -33,19 +36,14 @@ def render_json(obj, compact: bool = False, _indent: int = 0) -> str:
             # one %-format for the whole array; "%.17g" renders as fmt17 does
             item = "%.17g" if obj.ndim == 1 else "[" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
             return ("[" + ", ".join([item] * len(obj)) + "]") % tuple(obj.ravel().tolist())
-        return render_json(obj.tolist(), compact, _indent)
+        return render_json(obj.tolist(), _indent)
     if isinstance(obj, (list, tuple)):
-        items = [render_json(v, compact, _indent) for v in obj]
+        items = [render_json(v, _indent) for v in obj]
         return "[" + ", ".join(items) + "]"
     if isinstance(obj, dict):
-        if compact:
-            inner = ", ".join(
-                f"{json.dumps(str(k))}: {render_json(v, True)}" for k, v in obj.items()
-            )
-            return "{" + inner + "}"
         pad = " " * _indent
         inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, False, _indent + 2)}'
+            f'{pad}  {json.dumps(str(k))}: {render_json(v, _indent + 2)}'
             for k, v in obj.items()
         )
         return "".join(("{\n", inner, "\n", pad, "}"))  # copies `inner` once, not twice

@@ -1,5 +1,6 @@
 """Shared reports and the brute-force oracles the package is checked against."""
 
+import json
 import math
 from typing import Optional
 
@@ -8,6 +9,7 @@ import pytest
 
 from altproj import sequence
 from altproj.euclid import DimensionMismatch, _as_cloud, as_point
+from altproj.finite_union import ConvergenceVerdict, classify
 from altproj.serialize import fmt17, render_json
 from altproj.spiral import HALF_PI, BracketInvalid, _chord_sq, _eps, _rho
 
@@ -145,3 +147,33 @@ def advance_with_full_bracket(alpha: float, t_guess: float) -> float:
         if abs(t_new - t) <= math.ulp(alpha + t_new):
             return alpha + t_new
         t = t_new
+
+
+def render_json_compact(obj) -> str:
+    """`serialize.render_json` with objects on one line, items joined by ", "."""
+    if isinstance(obj, dict):
+        inner = ", ".join(
+            f"{json.dumps(str(k))}: {render_json_compact(v)}" for k, v in obj.items()
+        )
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(render_json_compact(v) for v in obj) + "]"
+    return render_json(obj)
+
+
+def verdict_to_obj(seed: int, verdict: ConvergenceVerdict) -> dict:
+    return {
+        "seed": seed,
+        "outcome": classify(verdict),
+        "converged": verdict.converged,
+        "limit": None if verdict.limit is None else verdict.limit.tolist(),
+        "limit_in_intersection": verdict.limit_in_intersection,
+        "gaps_vanished": verdict.gaps_vanished,
+        "bounded": verdict.bounded,
+        "iterations_used": verdict.iterations_used,
+    }
+
+
+def verdict_line(seed: int, verdict: ConvergenceVerdict) -> str:
+    """The verdict's JSON line: `finite_union.run_batch` must write the same bytes."""
+    return render_json_compact(verdict_to_obj(seed, verdict)) + "\n"

@@ -93,6 +93,35 @@ def test_verify_reaches_its_wrap_points(monkeypatch):
                      "altproj.sequence.verify_nearest": 1}
 
 
+def test_union_batch_reaches_its_wrap_points(monkeypatch, tmp_path):
+    # `run_batch` reaches the scenario spans through `finite_union`'s globals,
+    # `check_theorem` the driver through `map_driver.run`, and every MAP step
+    # goes through `ProjectorSpec.project`, the tracer's one projection span
+    points = {point[2]: point[:2] for point in _tracer().WRAP_POINTS}
+    calls = {}
+    for span in ("finite_union.generate_scenario", "finite_union.check_theorem",
+                 "map_driver.run", "euclid.project"):
+        module_name, path = points[span]
+        owner = getattr(altproj, module_name)
+        *parents, attr = path.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        original = getattr(owner, attr)
+
+        def spy(*args, _key=span, _original=original, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+    out = tmp_path / "batch.jsonl"
+    assert cli.main(["union-batch", "--seeds", "3", "--dim", "3", "--members", "4",
+                     "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert calls.pop("euclid.project") >= 2 * 3  # two per MAP iteration, one or more each
+    assert calls == {"finite_union.generate_scenario": 3, "finite_union.check_theorem": 3,
+                     "map_driver.run": 3}
+
+
 @pytest.mark.parametrize("module", [altproj, counterexample, euclid, finite_union, map_driver,
                                     sequence, spiral], ids=lambda m: m.__name__)
 def test_every_export_resolves(module):

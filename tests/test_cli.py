@@ -232,6 +232,33 @@ def test_run_rejects_too_deep_nesting(tmp_path, capsys, text):
     assert captured.err.startswith(f"config error: {config}: maximum recursion depth")
 
 
+def test_run_nesting_sweep_gives_no_traceback(tmp_path):
+    # Near the recursion limit either json.load or the set readers, which use
+    # more frames per union level, run out first: under Python 3.11 the CLI
+    # parsed unions 492 and 493 deep and then raised RecursionError while
+    # building the sets.  Every depth must run or give one config error line.
+    # The stack depth at the limit is the entry point's, so each depth runs
+    # in a fresh `python -m altproj.cli`, not in the test session.
+    src = str(Path(altproj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    exits = set()
+    for depth in range(484, 500):
+        config = tmp_path / f"{depth}.json"
+        config.write_text(_nested_unions(depth))
+        proc = subprocess.run([sys.executable, "-m", "altproj.cli", "run", "--config",
+                               str(config), "--trace-out", os.devnull],
+                              env=env, capture_output=True, text=True, timeout=60)
+        if proc.returncode == EXIT_OK:
+            assert proc.stderr == "", depth
+        else:
+            assert proc.returncode == EXIT_USAGE, (depth, proc.stderr[-500:])
+            assert len(proc.stderr.splitlines()) == 1, depth
+            assert proc.stderr.startswith(f"config error: {config}: maximum recursion depth")
+        exits.add(proc.returncode)
+    assert exits == {EXIT_OK, EXIT_USAGE}  # the sweep straddles the limit
+
+
 def test_run_accepts_nested_unions(tmp_path, capsys):
     config = tmp_path / "nested.json"
     config.write_text(_nested_unions(400))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,72 @@ def test_spec_reader_accepts_integers_and_copies():
     coords[0, 0] = 9
     assert cloud.points[0, 0] == 1.0
     assert spec_from_dict({"type": "sphere", "center": [0, 0], "radius": 2}).radius == 2.0
+
+
+@pytest.mark.parametrize("arr, message", [
+    (np.array([0.0, math.nan]), "point coordinates must be finite"),
+    (np.array([math.inf, 0.0]), "point coordinates must be finite"),
+    (np.array([0.0, -math.inf]), "point coordinates must be finite"),
+    (np.zeros((1, 2)), r"point must be a nonempty 1-D list of numbers, got shape \(1, 2\)"),
+    (np.array(1.0), r"point must be a nonempty 1-D list of numbers, got shape \(\)"),
+    (np.zeros(0), r"point must be a nonempty 1-D list of numbers, got shape \(0,\)"),
+], ids=["nan", "inf", "-inf", "2-d", "0-d", "empty"])
+def test_as_point_rejects_a_malformed_float64_array(arr, message):
+    assert arr.dtype == np.float64
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        as_point(arr)
+
+
+@pytest.mark.parametrize("arr, message", [
+    (np.array([[0.0, math.nan]]), "point cloud coordinates must be finite"),
+    (np.array([[math.inf, 0.0]]), "point cloud coordinates must be finite"),
+    (np.zeros(2), r"point cloud must be a nonempty 2-D list of numbers, got shape \(2,\)"),
+    (np.zeros((0, 2)), r"point cloud must be a nonempty 2-D list of numbers, got shape \(0, 2\)"),
+    (np.zeros((2, 0)), r"point cloud must be a nonempty 2-D list of numbers, got shape \(2, 0\)"),
+], ids=["nan", "inf", "1-d", "no-rows", "no-columns"])
+def test_cloud_reader_rejects_a_malformed_float64_array(arr, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PointCloud(arr)
+
+
+def test_as_point_copies_a_float64_array():
+    arr = np.array([1.0, -0.0])
+    p = as_point(arr)
+    assert p is not arr and p.dtype == np.float64
+    arr[0] = 9.0
+    assert p.tolist() == [1.0, -0.0] and math.copysign(1.0, p[1]) == -1.0
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "radius must be a number, got True"),
+    (np.bool_(True), "radius must be a number, got np.True_"),
+    (math.nan, "radius must be finite, got nan"),
+    (math.inf, "radius must be finite, got inf"),
+    ("1.0", "radius must be a number, got '1.0'"),
+], ids=["bool", "np.bool_", "nan", "inf", "str"])
+def test_finite_rejects(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        euclid._finite("radius", value)
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0)], ids=["int", "float", "np.float64"])
+def test_finite_accepts_real_numbers_as_float(value):
+    out = euclid._finite("radius", value)
+    assert out == 2.0 and type(out) is float
+
+
+def test_box_clamp_equals_clip_on_signed_zeros_and_bounds():
+    lo = np.array([-0.0, 0.0, -1.0, 0.0])
+    hi = np.array([0.0, 0.0, 1.0, -0.0])
+    box = Box(lo, hi)
+    queries = [[0.0, -0.0, -1.0, 0.0], [-0.0, 0.0, 1.0, -0.0], [-0.0, -0.0, -0.0, -0.0],
+               [0.0, 0.0, 0.0, 0.0], [-5.0, 5.0, 1.0 + 2e-16, 5e-324], [5.0, -5.0, -1.0, -5e-324]]
+    for q in queries:
+        q = np.array(q)
+        got = box.project(q).candidates[0]
+        want = np.clip(q, box.lo, box.hi)
+        assert got.tobytes() == want.tobytes(), q
+        assert box.distance(q) == float(np.linalg.norm(q - want))
 
 
 def _oracle_dedupe(points, tol):

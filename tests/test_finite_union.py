@@ -15,8 +15,8 @@ from altproj.finite_union import (
     classify,
     generate_scenario,
     run_batch,
-    verdict_to_obj,
 )
+from conftest import verdict_line
 
 
 def test_scenario_is_deterministic():
@@ -152,7 +152,45 @@ def test_batch_counts_and_replay():
 
 def test_verdict_json_obj_round_trip():
     verdict = check_theorem(generate_scenario(1, dim=2, members_per_side=2))
-    obj = verdict_to_obj(1, verdict)
+    buf = io.StringIO()
+    run_batch([1], dim=2, members_per_side=2, stream=buf)
+    obj = json.loads(buf.getvalue())
     assert obj["seed"] == 1
+    assert obj["outcome"] == classify(verdict)
     assert obj["outcome"] in (OUTCOME_PASS, OUTCOME_FAIL, OUTCOME_HYPOTHESES_NOT_MET)
+    assert obj["limit"] == verdict.limit.tolist()
     assert isinstance(obj["gaps_vanished"], bool)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_verdict_lines_equal_the_oracle(dim, members):
+    seeds = range(100, 125)
+    buf = io.StringIO()
+    run_batch(seeds, dim=dim, members_per_side=members, stream=buf)
+    want = "".join(verdict_line(seed, check_theorem(generate_scenario(seed, dim, members)))
+                   for seed in seeds)
+    assert buf.getvalue() == want
+
+
+def test_verdict_line_without_a_limit_equals_the_oracle(monkeypatch):
+    # one MAP iteration converges only from a start already in both sides
+    monkeypatch.setattr(finite_union, "SCENARIO_MAX_ITER", 1)
+    seeds = range(20)
+    buf = io.StringIO()
+    run_batch(seeds, dim=3, members_per_side=4, stream=buf)
+    verdicts = [check_theorem(generate_scenario(seed, 3, 4)) for seed in seeds]
+    assert any(v.limit is None for v in verdicts)
+    assert buf.getvalue() == "".join(verdict_line(s, v) for s, v in zip(seeds, verdicts))
+    assert '"limit": null,' in buf.getvalue()
+
+
+def test_verdict_line_writes_a_negative_zero_limit(monkeypatch):
+    verdict = finite_union.ConvergenceVerdict(
+        converged=True, limit=np.array([-0.0, 0.1, 5e-324]), limit_in_intersection=True,
+        gaps_vanished=True, bounded=True, iterations_used=7)
+    monkeypatch.setattr(finite_union, "check_theorem", lambda scenario, tol: verdict)
+    buf = io.StringIO()
+    assert run_batch([5], dim=3, members_per_side=2, stream=buf)[OUTCOME_PASS] == 1
+    assert buf.getvalue() == verdict_line(5, verdict)
+    assert '"limit": [-0, 0.10000000000000001, 4.9406564584124654e-324]' in buf.getvalue()
