@@ -199,10 +199,6 @@ class ProjectorSpec:
             raise DimensionMismatch(f"query has dim {p.size}, set has dim {self.dim}")
         return p
 
-    def distance(self, q) -> float:
-        """Infimum distance from `q` to the set (exact closed form)."""
-        return self._nearest(self._check_query(q), DEFAULT_TIE_TOL).distance
-
     def project(self, q, tie_tol: float = DEFAULT_TIE_TOL, *,
                 validate: bool = True) -> ProjectionResult:
         """All nearest points of the set to `q`, gathered within `tie_tol`.

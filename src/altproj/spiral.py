@@ -120,9 +120,12 @@ def advance(alpha: float, t_guess: float) -> float:
     Newton's method on f(t) = _chord_sq(alpha, t) - eps(alpha)^2, starting
     from the increment `t_guess` (from the bracket midpoint if the guess is
     outside it), inside the quarter-turn bracket (0, pi/2] where f increases
-    strictly: each evaluation shrinks the bracket, and a step that would
-    leave it bisects instead.  Stops when f is exactly zero or the step is
-    within one ulp of the angle.
+    strictly: each evaluation shrinks the bracket.  Stops when f is exactly
+    zero or a Newton step is within one ulp of the angle; as in `rtsafe`,
+    that test comes before the bracket guard, so a converged step that
+    rounds onto a bracket end ends the solve.  A step that has not converged
+    and would leave the bracket bisects instead, and the solve stops when
+    the bisection cannot move (the bracket ends are adjacent floats).
     """
     r = _rho(alpha)
     e2 = ((r - _rho(alpha + TWO_PI)) / 2.0) ** 2  # _eps(alpha) ** 2
@@ -148,10 +151,12 @@ def advance(alpha: float, t_guess: float) -> float:
             hi = t
         # f'(t) = 2 d w - 4 r w sin^2(t/2) + 2 r s sin(t), positive on (0, pi/2]
         t_new = t - f / (2.0 * d * w - 4.0 * r * w * h * h + 2.0 * r * s * math.sin(t))
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
         if abs(t_new - t) <= math.ulp(alpha + t_new):
             return alpha + t_new
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+            if t_new == t:  # the bracket ends are adjacent floats
+                return alpha + t
         t = t_new
 
 

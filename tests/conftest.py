@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from altproj import sequence
-from altproj.euclid import DimensionMismatch, _as_cloud, as_point
+from altproj.euclid import DEFAULT_TIE_TOL, DimensionMismatch, _as_cloud, as_point
 from altproj.finite_union import ConvergenceVerdict, classify
 from altproj.serialize import fmt17, render_json
 from altproj.spiral import HALF_PI, BracketInvalid, _chord_sq, _eps, _rho
@@ -85,6 +85,15 @@ def nearest_in_cloud(points, q, exclude: Optional[int] = None) -> tuple[int, flo
     return best, best_d, margin
 
 
+def distance(spec, q) -> float:
+    """Infimum distance from `q` to the set (exact closed form).
+
+    Goes through `_nearest`, not `project`, so it also answers a query at a
+    sphere's centre, where every point of the sphere is nearest.
+    """
+    return spec._nearest(spec._check_query(q), DEFAULT_TIE_TOL).distance
+
+
 def write_csv_rows(report: sequence.SequenceReport, stream) -> None:
     """The row-at-a-time CSV writer: `sequence.write_csv` must write the same bytes."""
     stream.write(sequence.CSV_HEADER + "\n")
@@ -142,10 +151,12 @@ def advance_with_full_bracket(alpha: float, t_guess: float) -> float:
             hi = t
         # f'(t) = 2 d w - 4 r w sin^2(t/2) + 2 r s sin(t), positive on (0, pi/2]
         t_new = t - f / (2.0 * d * w - 4.0 * r * w * h * h + 2.0 * r * s * math.sin(t))
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
         if abs(t_new - t) <= math.ulp(alpha + t_new):
             return alpha + t_new
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+            if t_new == t:  # the bracket ends are adjacent floats
+                return alpha + t
         t = t_new
 
 

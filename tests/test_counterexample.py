@@ -16,6 +16,7 @@ from altproj.counterexample import (
 )
 from altproj.euclid import DEFAULT_TIE_TOL, Ball, PointCloud, Sphere, Union
 from altproj.map_driver import MapConfig
+from conftest import distance
 
 
 def test_build_parity_split(report_300):
@@ -174,11 +175,11 @@ def test_set_membership_fuzz(report_300):
     pts = report_300.points
     rng = np.random.default_rng(5)
     for theta in rng.uniform(0.0, 2.0 * math.pi, 50).tolist():
-        assert sets.set_a.distance([math.cos(theta), math.sin(theta)]) <= 1e-9
-        assert sets.set_b.distance([math.cos(theta), math.sin(theta)]) <= 1e-9
+        assert distance(sets.set_a, [math.cos(theta), math.sin(theta)]) <= 1e-9
+        assert distance(sets.set_b, [math.cos(theta), math.sin(theta)]) <= 1e-9
     for i in rng.integers(0, 300, 50).tolist():
         target = sets.set_a if i % 2 == 0 else sets.set_b
         other = sets.set_b if i % 2 == 0 else sets.set_a
-        assert target.distance(pts[i]) <= 1e-9
-        assert other.distance(pts[i]) > 1e-9
-    assert sets.set_a.distance([5.0, 5.0]) > 1e-9
+        assert distance(target, pts[i]) <= 1e-9
+        assert distance(other, pts[i]) > 1e-9
+    assert distance(sets.set_a, [5.0, 5.0]) > 1e-9

@@ -23,23 +23,23 @@ from altproj.euclid import (
     spec_from_dict,
 )
 from altproj.serialize import render_json
-from conftest import nearest_in_cloud
+from conftest import distance, nearest_in_cloud
 
 O2 = np.zeros(2)
 
 
 def test_sphere_distance_radial():
-    assert Sphere(O2, 1.0).distance([2.0, 0.0]) == 1.0
+    assert distance(Sphere(O2, 1.0), [2.0, 0.0]) == 1.0
 
 
 def test_sphere_distance_at_spiral_start():
     # the spiral starts at (2, 0); its distance to the unit sphere is exp(-0) = 1
-    assert Sphere(O2, 1.0).distance([2.0, 0.0]) == math.exp(-0.0)
+    assert distance(Sphere(O2, 1.0), [2.0, 0.0]) == math.exp(-0.0)
 
 
 def test_union_of_point_cloud_distance():
     spec = Union([PointCloud([[0.0, 0.0], [3.0, 0.0]])])
-    assert spec.distance([1.0, 0.0]) == 1.0
+    assert distance(spec, [1.0, 0.0]) == 1.0
 
 
 def test_ball_projection_radial():
@@ -86,7 +86,7 @@ def test_halfspace_projection():
     res = hs.project([3.0, 0.7])
     np.testing.assert_array_equal(res.candidates[0], [1.0, 0.7])
     assert res.distance == 2.0
-    assert hs.distance([0.0, 0.0]) == 0.0
+    assert distance(hs, [0.0, 0.0]) == 0.0
 
 
 def test_segment_projection_endpoints_and_interior():
@@ -110,7 +110,7 @@ def test_ball_center_projection_is_fine():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        Sphere(O2, 1.0).distance([1.0, 2.0, 3.0])
+        distance(Sphere(O2, 1.0), [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatch):
         Box([0.0], [1.0]).project([0.5, 0.5])
 
@@ -199,13 +199,13 @@ def test_fuzz_projection_invariants():
         q = rng.normal(size=dim) * 3.0
         if isinstance(spec, Sphere) and np.linalg.norm(q - spec.center) < 1e-6:
             continue
-        d = spec.distance(q)
+        d = distance(spec, q)
         res = spec.project(q)
         assert abs(res.distance - d) <= 1e-9
         assert res.multivalued == (len(res.candidates) > 1)
         for cand in res.candidates:
             assert abs(np.linalg.norm(q - cand) - d) <= 1e-9
-            assert spec.distance(cand) <= 1e-9
+            assert distance(spec, cand) <= 1e-9
 
 
 _CONVEX = [
@@ -422,7 +422,7 @@ def test_box_clamp_equals_clip_on_signed_zeros_and_bounds():
         got = box.project(q).candidates[0]
         want = np.clip(q, box.lo, box.hi)
         assert got.tobytes() == want.tobytes(), q
-        assert box.distance(q) == float(np.linalg.norm(q - want))
+        assert distance(box, q) == float(np.linalg.norm(q - want))
 
 
 def _oracle_dedupe(points, tol):
@@ -505,7 +505,7 @@ def test_indexed_projection_matches_brute_force(dim, n, seed, layout, tol, parts
     for q in queries + queries[::-1]:
         expected = _oracle([cloud], q, tol)
         _assert_matches_oracle(cloud.project(q, tol), expected)
-        assert cloud.distance(q) == expected[0]
+        assert distance(cloud, q) == expected[0]
         if with_sphere and np.linalg.norm(q - members[-1].center) <= 1e-12:
             continue  # the sphere center: covered by the degenerate test below
         _assert_matches_oracle(Union(members).project(q, tol), _oracle(members, q, tol))
@@ -518,7 +518,7 @@ def test_union_sphere_center_degenerate_only_among_minimizers():
     assert len(res.candidates) == 1
     np.testing.assert_array_equal(res.candidates[0], [0.25, 0.0])
     assert res.distance == 0.25
-    assert Union([sphere, PointCloud([[3.0, 0.0]])]).distance([0.0, 0.0]) == 1.0
+    assert distance(Union([sphere, PointCloud([[3.0, 0.0]])]), [0.0, 0.0]) == 1.0
     with pytest.raises(DegenerateProjection):
         Union([PointCloud([[3.0, 0.0]]), sphere]).project([0.0, 0.0])
     with pytest.raises(DegenerateProjection):

@@ -16,7 +16,7 @@ from altproj.finite_union import (
     generate_scenario,
     run_batch,
 )
-from conftest import verdict_line
+from conftest import distance, verdict_line
 
 
 def test_scenario_is_deterministic():
@@ -33,7 +33,7 @@ def test_scenario_members_contain_planted_point():
     for seed in range(30):
         s = generate_scenario(seed, dim=2, members_per_side=4)
         for member in s.a_members + s.b_members:
-            assert member.distance(s.common_point) == 0.0
+            assert distance(member, s.common_point) == 0.0
         assert np.linalg.norm(s.start - s.common_point) <= 10.0 + 1e-12
 
 
@@ -104,9 +104,9 @@ def test_distance_to_limit_monotone_after_capture():
         limit = verdict.limit
         config = finite_union.scenario_config(scenario, finite_union.DEFAULT_TOL)
         trace = map_driver.run(config)
-        clearances = [m.distance(limit)
+        clearances = [distance(m, limit)
                       for m in scenario.a_members + scenario.b_members
-                      if m.distance(limit) > finite_union.DEFAULT_TOL]
+                      if distance(m, limit) > finite_union.DEFAULT_TOL]
         delta = min([1.0] + clearances)
         dists = [float(np.linalg.norm(a - limit)) for a in trace.a]
         captured = next((i for i, d in enumerate(dists) if d < delta / 2.0), None)

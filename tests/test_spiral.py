@@ -1,4 +1,6 @@
 import math
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,30 @@ ORACLE_ALPHAS = [
 ]
 
 EPS0 = 0.4990662786341460055928  # (1 - exp(-2*pi)) / 2 at 22 digits
+
+# Steps of the chain from 0 where a solve that tested convergence only after
+# the bracket guard bisected and returned another angle, keyed by iterate:
+# alpha and the guess (the previous increment) as `float.hex`, and the root
+# angle alpha + t.  The roots were computed independently at 50 decimal
+# digits (Newton on the exact chord equation), frozen to 40 digits.
+DETOUR_ROOTS = {
+    98: ("0x1.eab74707bfe5fp+1", "0x1.5dd1970c40a00p-7",
+        "3.844282864868115463577136331847308192011"),
+    6090: ("0x1.008f1b4b1bed0p+3", "0x1.58f6cb0300000p-13",
+        "8.017633533816210886214505675230258966953"),
+    27198: ("0x1.307de9f9c32a8p+3", "0x1.3492edec00000p-15",
+        "9.515407140866526607232323147765008085589"),
+    32784: ("0x1.3678ccff71d4bp+3", "0x1.fff4cbdd80000p-16",
+        "9.70227670212149374172809474771188916493"),
+    48721: ("0x1.432748692a335p+3", "0x1.58734d0080000p-16",
+        "10.0985658007695455709800684254073596814"),
+    52068: ("0x1.4547b4fa48961p+3", "0x1.424dacc100000p-16",
+        "10.16502249947705678834934671057894347877"),
+    53758: ("0x1.464d71119d6d8p+3", "0x1.382b343b80000p-16",
+        "10.19697193583398172417832037242768753483"),
+    54790: ("0x1.46e940baac6cdp+3", "0x1.32499d5c80000p-16",
+        "10.21599150392496574794823816956058944646"),
+}
 
 
 def test_rho_examples():
@@ -205,6 +231,61 @@ def test_alpha_chain_equals_full_bracket_solve():
         expected.append(b)
         a = b
     assert angles.tolist() == expected
+
+
+@pytest.mark.parametrize("alpha, guess, root", DETOUR_ROOTS.values(),
+                         ids=[str(n) for n in DETOUR_ROOTS])
+def test_advance_within_one_ulp_of_independent_root(alpha, guess, root):
+    b = advance(float.fromhex(alpha), float.fromhex(guess))
+    exact = Fraction(root)
+    assert abs(Fraction(b) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+def _count_exp(monkeypatch, limit=math.inf):
+    """Route the exponentials of `spiral` through a counter, a one-element
+    list; past `limit` calls they raise instead of returning."""
+    calls = [0]
+
+    def exp(x):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise RuntimeError(f"more than {limit} exponentials")
+        return math.exp(x)
+
+    shim = types.SimpleNamespace(exp=exp, sin=math.sin, ulp=math.ulp, isfinite=math.isfinite)
+    monkeypatch.setattr(spiral, "math", shim)
+    return calls
+
+
+def test_step_solve_stops_at_a_converged_newton_step(monkeypatch):
+    # a Newton step that rounds onto a bracket end has converged: bisecting
+    # from there instead costs up to 48 evaluations in one step
+    calls = _count_exp(monkeypatch)
+    solve = spiral.advance
+    evaluations = []
+
+    def counted(alpha, t_guess):
+        before = calls[0]
+        b = solve(alpha, t_guess)
+        # rho(alpha), rho(alpha + 2 pi) and rho(alpha + pi/2) are not chord
+        # evaluations
+        evaluations.append(calls[0] - before - 3)
+        return b
+
+    monkeypatch.setattr(spiral, "advance", counted)
+    _, stopped = alpha_chain(0.0, 20_000)
+    assert not stopped and len(evaluations) == 19_999
+    assert max(evaluations) <= 5
+
+
+def test_advance_stops_on_a_bracket_of_adjacent_floats(monkeypatch):
+    # From the bracket midpoint the solve closes the bracket onto two adjacent
+    # floats, then every Newton step from its upper end lands two ulps below
+    # it, outside the bracket, and the midpoint rounds back onto that end.
+    alpha = float.fromhex("0x1.1a6d8d5a6a4f9p-10")
+    _count_exp(monkeypatch, limit=500)
+    b = advance(alpha, 3.0)
+    assert b == float.fromhex("0x1.ec1dc7d15dc38p-3") == next_alpha(alpha)
 
 
 def _advance_outcome(solve, alpha, guess):
