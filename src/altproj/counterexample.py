@@ -8,8 +8,8 @@ time: a_n is iterate 2n and b_n is iterate 2n+1, so the iterates never
 settle and their cluster set fills the whole circle as the horizon grows.
 
 The sets here are finite truncations, so runs must stay clear of the
-truncation edge; `run_corollary` enforces a two-index stop margin and
-verifies the predicted trace index-exactly.
+truncation edge; `make_config` enforces a two-index stop margin, and
+`run_corollary` verifies the predicted trace index-exactly.
 
 Successive step sizes differ by less than the default tie tolerance from
 iterate ~31 600 on, which would make the predecessor a tie of the successor;
@@ -103,19 +103,10 @@ def tie_tolerance(sets: CounterexampleSets) -> float:
 
 
 def make_config(sets: CounterexampleSets, n_pairs: int, stop_step: float) -> MapConfig:
-    """The MAP config that walks `n_pairs` pairs from the first iterate."""
-    return MapConfig(sets.set_a, sets.set_b, sets.report.points[0], max_iter=n_pairs,
-                     stop_step=stop_step, tie_tol=tie_tolerance(sets))
+    """The MAP config that walks `n_pairs` pairs from the first iterate.
 
-
-def run_corollary(sets: CounterexampleSets, n_pairs: int,
-                  stop_step: float = 0.0) -> MapTrace:
-    """Run `n_pairs` alternating projections from the first iterate and verify
-    that the trace reproduces the predicted points index-exactly.
-
-    The precondition 2*n_pairs + 1 <= horizon keeps the run clear of the
-    truncation edge (stop margin of two indices).  Raises CorollaryViolated
-    on the first deviation; comparison is bitwise.
+    ValueError unless 1 <= n_pairs and 2*n_pairs + 1 <= horizon, the
+    two-index stop margin that keeps the run clear of the truncation edge.
     """
     n_pairs = int(n_pairs)
     if n_pairs < 1:
@@ -125,6 +116,18 @@ def run_corollary(sets: CounterexampleSets, n_pairs: int,
             f"n_pairs={n_pairs} runs into the truncation edge: need 2*n_pairs + 1 <= "
             f"horizon={sets.horizon}"
         )
+    return MapConfig(sets.set_a, sets.set_b, sets.report.points[0], max_iter=n_pairs,
+                     stop_step=stop_step, tie_tol=tie_tolerance(sets))
+
+
+def run_corollary(sets: CounterexampleSets, n_pairs: int,
+                  stop_step: float = 0.0) -> MapTrace:
+    """Run `n_pairs` alternating projections from the first iterate and verify
+    that the trace reproduces the predicted points index-exactly.
+
+    `make_config` checks the truncation margin.  Raises CorollaryViolated on
+    the first deviation; comparison is bitwise.
+    """
     pts = sets.report.points
     trace = map_driver.run(make_config(sets, n_pairs, stop_step))
     n = len(trace.a)

@@ -2,8 +2,8 @@
 
 Points are 1-D numpy float64 arrays.  A projector spec describes a closed
 set -- sphere, closed ball, axis-aligned box, halfspace, segment, finite
-point cloud, or a finite union of those -- and answers two exact queries:
-distance, and the full set of nearest points.
+point cloud, or a finite union of those -- and answers one exact query:
+`project` returns the distance to the set and the full set of nearest points.
 
 Projection is genuinely set-valued: `project` returns every minimizer whose
 distance is within `tie_tol` of the optimum, and flags multivaluedness
@@ -374,8 +374,9 @@ class _CloudIndex:
 
     Points are split at the median into leaf buckets of `LEAF_SIZE`, stored
     permuted and contiguous as `(L, width, d)`, with per-leaf bounding boxes
-    `lo`/`hi`.  The boxes are kept transposed, `(d, L)`, because the bound
-    pass then works on contiguous rows, about twice as fast as on `(L, d)`.
+    `lo`/`hi`, kept transposed, `(d, L)`: `leaves_within`, the one bound
+    pass of both exact searches (`search` and `sequence.verify_nearest`),
+    then works on contiguous rows, about twice as fast as on `(L, d)`.
     The last bucket is topped up with repeats of its final point, which
     change no minimum, and whose repeated index is dropped from the
     candidates.  A cloud of at most one leaf is a single bucket in its
@@ -426,11 +427,11 @@ class _CloudIndex:
         `reach` below by its root, since the leaf's points lie in the cell,
         so the test fails as it must.
 
-        Otherwise one vectorised pass bounds every leaf's box, and one batch
-        visits every leaf whose bound does not exceed `reach + tie_tol`.  The
-        bounds are shrunk by `_BOUND_SLACK`, so the visited leaves hold the
-        minimum and all of its ties.  The remembered slot only narrows the
-        work, so no result depends on it.
+        Otherwise `leaves_within` bounds every leaf's box against q, a
+        zero-width box, in one vectorised pass, and one batch visits every
+        leaf whose bound does not exceed `reach + tie_tol`; the visited
+        leaves hold the minimum and all of its ties.  The remembered slot
+        only narrows the work, so no result depends on it.
         """
         width = self.ids.shape[1]
         leaf = self._slot // width
@@ -445,14 +446,7 @@ class _CloudIndex:
         gap = min(*map(operator.sub, at, self.cell_lo[leaf].tolist()),
                   *map(operator.sub, self.cell_hi[leaf].tolist(), at))
         if math.sqrt(gap * gap) <= limit:
-            col = q[:, None]
-            box = np.maximum(self.lo, col)  # each box's nearest point to q ...
-            np.minimum(box, self.hi, out=box)
-            box -= col  # ... less q
-            box *= box
-            bound = np.sqrt(box.sum(axis=0))
-            bound *= _BOUND_SLACK
-            take = (bound <= limit).nonzero()[0]
+            take = self.leaves_within(q, q, limit)
             # `take` gathers faster than fancy indexing
             dists = _dists(self.points.take(take, axis=0).reshape(-1, q.size), q)
             ids = self.ids.take(take, axis=0).ravel()
@@ -461,15 +455,15 @@ class _CloudIndex:
         self._slot = int(take[best // width]) * width + best % width
         return dmin, sorted(set(ids[dists <= dmin + tie_tol].tolist()))
 
-    def leaves_within(self, leaf: int, reach: float) -> np.ndarray:
-        """Every leaf that may hold a point within `reach` of a point of `leaf`.
+    def leaves_within(self, lo: np.ndarray, hi: np.ndarray, reach: float) -> np.ndarray:
+        """Every leaf whose box may hold a point within `reach` of the box [lo, hi].
 
-        The box-to-box bound is shrunk like the query bound of `search`, so a
-        leaf left out holds no point within `reach` of any point of `leaf`.
-        `leaf` itself is always among the result.
+        The one leaf bound of the index; a query point q is the box [q, q].
+        It is shrunk by `_BOUND_SLACK`, so a leaf left out holds no point
+        within `reach` of any point of [lo, hi].
         """
-        gap = self.lo - self.hi[:, leaf, None]
-        np.maximum(gap, self.lo[:, leaf, None] - self.hi, out=gap)
+        gap = self.lo - hi[:, None]
+        np.maximum(gap, lo[:, None] - self.hi, out=gap)
         np.maximum(gap, 0.0, out=gap)
         gap *= gap
         bound = np.sqrt(gap.sum(axis=0))

@@ -168,7 +168,8 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
         qids = ids[ids < queries]
         if not qids.size:
             continue
-        cids = np.sort(index.ids[index.leaves_within(leaf, reach[qids].max())], axis=None)
+        near = index.leaves_within(index.lo[:, leaf], index.hi[:, leaf], reach[qids].max())
+        cids = np.sort(index.ids[near], axis=None)
         cids = cids[np.concatenate(([True], cids[1:] != cids[:-1]))]  # drop the top-up repeats
         cand = pts[cids]
         k = cids.size
@@ -212,10 +213,10 @@ def run_verification(report: SequenceReport,
                      nearest_horizon: int | None = None) -> list[CheckResult]:
     """Every sequence-level check, each returning a named pass/fail result.
 
-    The nearest-point check covers iterates up to `nearest_horizon` (default:
-    every iterate).  A failed check never stops the others: a unit sphere
-    that is not strictly farther than the successor fails both
-    `sphere-never-nearer` and `nearest-point`.
+    The nearest-point check covers iterates up to `nearest_horizon`, clamped
+    to the last one (None: every iterate).  A failed check never stops the
+    others: a unit sphere that is not strictly farther than the successor
+    fails both `sphere-never-nearer` and `nearest-point`.
     """
     results: list[CheckResult] = []
 
@@ -264,7 +265,8 @@ def run_verification(report: SequenceReport,
     nearer = np.flatnonzero(~(sphere_margins > 0.0))
     check("sphere-never-nearer", not nearer.size, f"min margin {sphere_margins.min():.3e}")
 
-    horizon = len(report) - 1 if nearest_horizon is None else nearest_horizon
+    last = len(report) - 1
+    horizon = last if nearest_horizon is None else min(nearest_horizon, last)
     if nearer.size and nearer[0] <= horizon:
         # verify_nearest presumes the sphere is farther: report, do not raise
         check("nearest-point", False, "unit sphere is not strictly farther than the "

@@ -29,9 +29,6 @@ STEP_UPPER_BOUND = math.radians(40.0)
 #: `sequence` turn arrays into Python floats: bounds their temporary lists.
 CHUNK = 4096
 
-# sin of half the upper bracket end, as `_chord_sq(alpha, HALF_PI)` computes it
-_SIN_QUARTER_PI = math.sin(0.5 * HALF_PI)
-
 __all__ = [
     "BracketInvalid", "CHUNK", "HALF_PI", "MAX_ALPHA", "STEP_UPPER_BOUND", "TWO_PI", "advance",
     "alpha_chain", "columns", "eps", "next_alpha", "rho",
@@ -129,11 +126,11 @@ def advance(alpha: float, t_guess: float) -> float:
     """
     r = _rho(alpha)
     e2 = ((r - _rho(alpha + TWO_PI)) / 2.0) ** 2  # _eps(alpha) ** 2
-    # the bracket ends, f(0) and f(pi/2), as `_chord_sq` evaluates them; the
-    # chord at t = 0 is exactly 0.0
-    s = _rho(alpha + HALF_PI)
-    d = r - s
-    if not (0.0 - e2 < 0.0 < d * d + 4.0 * r * s * _SIN_QUARTER_PI * _SIN_QUARTER_PI - e2):
+    # The bracket ends as `_chord_sq` evaluates them: f(0) = -e2, since the
+    # chord at t = 0 is exactly 0, and f(pi/2) = (r - s)^2 + 2 r s - e2 is
+    # above 2 - 1/4, since r, s >= 1 and eps < 1/2 for alpha >= 0.  So the
+    # bracket holds a sign change exactly when e2 > 0.
+    if not e2 > 0.0:
         raise BracketInvalid(f"no sign change over the quarter-turn bracket at alpha={alpha!r}")
     lo, hi = 0.0, HALF_PI
     t = t_guess if lo < t_guess < hi else 0.5 * HALF_PI

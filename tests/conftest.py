@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from altproj import sequence
-from altproj.euclid import DEFAULT_TIE_TOL, DimensionMismatch, _as_cloud, as_point
+from altproj.euclid import _BOUND_SLACK, DEFAULT_TIE_TOL, DimensionMismatch, _as_cloud, as_point
 from altproj.finite_union import ConvergenceVerdict, classify
 from altproj.serialize import fmt17, render_json
 from altproj.spiral import HALF_PI, BracketInvalid, _chord_sq, _eps, _rho
@@ -92,6 +92,20 @@ def distance(spec, q) -> float:
     sphere's centre, where every point of the sphere is nearest.
     """
     return spec._nearest(spec._check_query(q), DEFAULT_TIE_TOL).distance
+
+
+def clip_leaf_bound(index, q: np.ndarray) -> np.ndarray:
+    """Every leaf's bound from `q`, taken by clipping q into each box:
+    `index.leaves_within(q, q, reach)` must pick exactly the leaves whose
+    bound does not exceed `reach`."""
+    col = q[:, None]
+    box = np.maximum(index.lo, col)  # each box's nearest point to q ...
+    np.minimum(box, index.hi, out=box)
+    box -= col  # ... less q
+    box *= box
+    bound = np.sqrt(box.sum(axis=0))
+    bound *= _BOUND_SLACK
+    return bound
 
 
 def write_csv_rows(report: sequence.SequenceReport, stream) -> None:

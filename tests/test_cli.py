@@ -120,6 +120,14 @@ def test_run_verification_names_corrupted_check(report_300):
     assert "step-identity" in failed
 
 
+def test_run_verification_clamps_the_nearest_horizon(report_300):
+    results = run_verification(report_300, nearest_horizon=10**6)
+    assert results == run_verification(report_300)
+    nearest = [r for r in results if r.name == "nearest-point"]
+    assert len(nearest) == 1 and nearest[0].passed
+    assert nearest[0].detail.endswith("at horizon 299")
+
+
 def test_verify_cli_exits_nonzero_on_corruption(monkeypatch, capsys, report_300):
     corrupt = _corrupted(report_300)
     monkeypatch.setattr(sequence, "generate", lambda n: corrupt)
@@ -488,9 +496,15 @@ def test_export_sets_disk_variant(tmp_path):
     assert obj["max_iter"] == 10
 
 
-def test_export_sets_rejects_unsafe_pairs(tmp_path):
+def test_export_sets_rejects_unsafe_pairs(tmp_path, capsys):
+    out = tmp_path / "x.json"
     assert main(["export-sets", "--horizon", "100", "--pairs", "50",
-                 "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
+                 "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "truncation edge" in captured.err
+    assert not out.exists()
 
 
 def test_union_batch(tmp_path, capsys):

@@ -10,6 +10,7 @@ from altproj.counterexample import (
     CorollaryViolated,
     CounterexampleSets,
     build,
+    make_config,
     max_safe_pairs,
     run_corollary,
     tie_tolerance,
@@ -85,6 +86,15 @@ def test_run_corollary_respects_truncation_margin(report_300):
     with pytest.raises(ValueError, match="truncation edge"):
         run_corollary(sets, 150)
     run_corollary(sets, 149)
+
+
+def test_make_config_respects_truncation_margin(report_300):
+    sets = build(300, report=report_300)
+    with pytest.raises(ValueError, match="truncation edge"):
+        make_config(sets, 150, 0.0)
+    with pytest.raises(ValueError, match="n_pairs must be >= 1"):
+        make_config(sets, 0, 0.0)
+    assert make_config(sets, 149, 0.0).max_iter == 149
 
 
 @pytest.mark.parametrize("which, dropped", [("A", 2), ("B", 3)])

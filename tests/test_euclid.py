@@ -23,7 +23,7 @@ from altproj.euclid import (
     spec_from_dict,
 )
 from altproj.serialize import render_json
-from conftest import distance, nearest_in_cloud
+from conftest import clip_leaf_bound, distance, nearest_in_cloud
 
 O2 = np.zeros(2)
 
@@ -594,6 +594,25 @@ def test_every_point_outside_a_leaf_is_on_or_beyond_its_cell(dim, n, seed, layou
         outside = np.ones(n, dtype=bool)
         outside[ids] = False
         assert ((pts[outside] <= lo) | (pts[outside] >= hi)).any(axis=1).all()
+
+
+@given(dim=st.integers(1, 4), n=st.integers(1, 9 * LEAF_SIZE), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["generic", "curve", "stacks", "grid"]),
+       scale=st.sampled_from([1e-160, 1e-155, 1.0, 1e150, 1e153]))
+@settings(max_examples=200, deadline=None)
+def test_leaf_bound_of_a_query_equals_the_clip_form(dim, n, seed, layout, scale):
+    # squares are subnormal at the small scales and close to overflow at the
+    # large ones
+    rng = np.random.default_rng(seed)
+    index = PointCloud(_cloud_layout(layout, rng, n, dim) * scale)._index
+    leaf = int(rng.integers(len(index.ids)))
+    for q in (rng.normal(size=dim) * scale, index.points[leaf, 0].copy(),
+              index.points[leaf, -1] + 0.05 * scale * rng.normal(size=dim)):
+        bound = clip_leaf_bound(index, q)
+        leaf_min = float(np.sqrt(((index.points[leaf] - q) ** 2).sum(axis=1)).min())
+        for reach in (0.0, leaf_min, *bound[:8].tolist()):
+            np.testing.assert_array_equal(index.leaves_within(q, q, reach),
+                                          np.flatnonzero(bound <= reach))
 
 
 def test_coherent_walk_matches_the_scan():

@@ -15,6 +15,7 @@ from altproj.spiral import (
     BracketInvalid,
     _chord_sq,
     _curve_xy,
+    _eps,
     advance,
     alpha_chain,
     eps,
@@ -267,9 +268,8 @@ def test_step_solve_stops_at_a_converged_newton_step(monkeypatch):
     def counted(alpha, t_guess):
         before = calls[0]
         b = solve(alpha, t_guess)
-        # rho(alpha), rho(alpha + 2 pi) and rho(alpha + pi/2) are not chord
-        # evaluations
-        evaluations.append(calls[0] - before - 3)
+        # rho(alpha) and rho(alpha + 2 pi) are not chord evaluations
+        evaluations.append(calls[0] - before - 2)
         return b
 
     monkeypatch.setattr(spiral, "advance", counted)
@@ -293,6 +293,15 @@ def _advance_outcome(solve, alpha, guess):
         return solve(alpha, guess)
     except BracketInvalid:
         return "BracketInvalid"
+
+
+def test_bracket_check_premise_holds_past_the_step_size_underflow():
+    # `advance` checks only e2 > 0, because f(pi/2) = _chord_sq(alpha, pi/2)
+    # - e2 stays above 7/4; the grid runs past alpha ~36.7, where eps is 0
+    for alpha in np.linspace(0.0, 40.0, 40_001).tolist():
+        assert _chord_sq(alpha, HALF_PI) - _eps(alpha) ** 2 > 1.75
+        assert ((_advance_outcome(advance, alpha, 0.1) == "BracketInvalid")
+                == (_eps(alpha) == 0.0)), alpha
 
 
 @settings(max_examples=300, deadline=None)
