@@ -24,7 +24,7 @@ from .euclid import (
 )
 from .map_driver import MapConfig, MapTrace, Verdict, run
 from .sequence import SequenceReport, generate, verify_nearest
-from .spiral import BracketInvalid, alpha_chain, eps, next_alpha, rho
+from .spiral import BracketInvalid, alpha_chain
 
 __version__ = "0.1.0"
 
@@ -51,10 +51,7 @@ __all__ = [
     "Union",
     "Verdict",
     "alpha_chain",
-    "eps",
     "generate",
-    "next_alpha",
-    "rho",
     "run",
     "verify_nearest",
 ]

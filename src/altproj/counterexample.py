@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import map_driver, sequence
-from .euclid import DEFAULT_TIE_TOL, Ball, PointCloud, ProjectorSpec, Sphere, Union
+from .euclid import DEFAULT_TIE_TOL, Ball, PointCloud, ProjectorSpec, Sphere, Union, _integer
 from .map_driver import MapConfig, MapTrace
 
 VARIANT_SPHERE = "sphere"
@@ -69,7 +69,7 @@ def build(horizon: int, variant: str = VARIANT_SPHERE,
     `report` may supply a pre-generated sequence (its first `horizon` records
     are used); otherwise one is generated.
     """
-    horizon = int(horizon)
+    horizon = _integer("horizon", horizon)
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     if variant not in _VARIANTS:
@@ -88,7 +88,7 @@ def build(horizon: int, variant: str = VARIANT_SPHERE,
 
 def max_safe_pairs(horizon: int) -> int:
     """Largest pair count that keeps a run two indices clear of the truncation edge."""
-    return (int(horizon) - 1) // 2
+    return (_integer("horizon", horizon) - 1) // 2
 
 
 def tie_tolerance(sets: CounterexampleSets) -> float:
@@ -108,7 +108,7 @@ def make_config(sets: CounterexampleSets, n_pairs: int, stop_step: float) -> Map
     ValueError unless 1 <= n_pairs and 2*n_pairs + 1 <= horizon, the
     two-index stop margin that keeps the run clear of the truncation edge.
     """
-    n_pairs = int(n_pairs)
+    n_pairs = _integer("n_pairs", n_pairs)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if 2 * n_pairs + 1 > sets.horizon:

@@ -82,9 +82,10 @@ class SequenceReport:
 
 def generate(n_max: int) -> SequenceReport:
     """Generate the first `n_max` iterates starting from angle 0 at (2, 0)."""
-    if int(n_max) < 1:
+    n = euclid._integer("n_max", n_max)
+    if n < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    alphas, _ = spiral.alpha_chain(0.0, int(n_max))
+    alphas, _ = spiral.alpha_chain(0.0, n)
     return SequenceReport(alphas, *spiral.columns(alphas))
 
 

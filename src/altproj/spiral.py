@@ -1,10 +1,11 @@
 """The inward logarithmic spiral and its forward step solver.
 
-The curve is ``alpha -> (1 + exp(-alpha)) * (cos(alpha), sin(alpha))`` for
-nonnegative angles in radians; it winds counter-clockwise and tightens onto
-the unit circle.  ``eps`` gives the step size at an angle (half the radial
-drop over one full turn), and ``next_alpha`` solves for the unique forward
-angle whose curve point lies exactly one step size away.
+The curve is ``alpha -> rho(alpha) * (cos(alpha), sin(alpha))`` with
+``rho(t) = 1 + exp(-t)`` for nonnegative angles in radians; it winds
+counter-clockwise and tightens onto the unit circle.  The step size
+``eps(t) = (rho(t) - rho(t + 2 pi)) / 2`` is half the radial drop over one
+full turn.  ``alpha_chain`` solves for each next angle, whose curve point lies
+exactly one step size away, and ``columns`` evaluates the curve.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .euclid import _integer
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -31,7 +34,7 @@ CHUNK = 4096
 
 __all__ = [
     "BracketInvalid", "CHUNK", "HALF_PI", "MAX_ALPHA", "STEP_UPPER_BOUND", "TWO_PI", "advance",
-    "alpha_chain", "columns", "eps", "next_alpha", "rho",
+    "alpha_chain", "columns",
 ]
 
 
@@ -47,47 +50,13 @@ def _eps(t: float) -> float:
     return (_rho(t) - _rho(t + TWO_PI)) / 2.0
 
 
-def _curve_xy(alpha: float) -> tuple[float, float]:
-    r = _rho(alpha)
-    return r * math.cos(alpha), r * math.sin(alpha)
-
-
-def _chord_sq(alpha: float, t: float) -> float:
-    # half-angle rearrangement of the law of cosines,
-    # r^2 + s^2 - 2 r s cos(t) = (r - s)^2 + 4 r s sin^2(t/2):
-    # the raw form cancels catastrophically once the chord drops below
-    # ~sqrt(ulp(2)) ~ 2e-8, this one stays fully accurate
-    r = _rho(alpha)
-    s = _rho(alpha + t)
-    d = r - s
-    h = math.sin(0.5 * t)
-    return d * d + 4.0 * r * s * h * h
-
-
-def _angle(name: str, value) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v < 0.0:
-        raise ValueError(f"{name} must be a finite nonnegative angle in radians, got {value!r}")
-    return v
-
-
-def rho(t) -> float:
-    """Distance from the origin to the curve at angle t: 1 + exp(-t)."""
-    return _rho(_angle("t", t))
-
-
-def eps(t) -> float:
-    """Step size at angle t: half the radial drop over one full turn."""
-    return _eps(_angle("t", t))
-
-
 def _libm(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
 
 
 def columns(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Radius, step size and curve point (an (n, 2) array) at each angle,
-    bit for bit the values of `rho`, `eps` and `_curve_xy`.
+    """Radius rho = 1 + exp(-a), step size (rho(a) - rho(a + 2 pi)) / 2 and
+    curve point (rho cos a, rho sin a), an (n, 2) array, at each angle a.
 
     The exponentials and the sines and cosines come from `math` (libm), one
     slice of `CHUNK` angles at a time: numpy's own `exp`, `sin` and `cos` may
@@ -114,22 +83,26 @@ def columns(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def advance(alpha: float, t_guess: float) -> float:
     """Smallest angle beyond `alpha` whose curve point is eps(alpha) away.
 
-    Newton's method on f(t) = _chord_sq(alpha, t) - eps(alpha)^2, starting
-    from the increment `t_guess` (from the bracket midpoint if the guess is
-    outside it), inside the quarter-turn bracket (0, pi/2] where f increases
-    strictly: each evaluation shrinks the bracket.  Stops when f is exactly
-    zero or a Newton step is within one ulp of the angle; as in `rtsafe`,
-    that test comes before the bracket guard, so a converged step that
-    rounds onto a bracket end ends the solve.  A step that has not converged
-    and would leave the bracket bisects instead, and the solve stops when
-    the bisection cannot move (the bracket ends are adjacent floats).
+    Newton's method on f(t) = (r - s)^2 + 4 r s sin^2(t/2) - eps(alpha)^2,
+    the squared chord from radius r = rho(alpha) to s = rho(alpha + t) less
+    the squared step size, starting from the increment `t_guess` (from the
+    bracket midpoint if the guess is outside it), inside the quarter-turn
+    bracket (0, pi/2] where f increases strictly: each evaluation shrinks the
+    bracket.  Stops when f is exactly zero or a Newton step is within one ulp
+    of the angle; as in `rtsafe`, that test comes before the bracket guard,
+    so a converged step that rounds onto a bracket end ends the solve.  A
+    step that has not converged and would leave the bracket bisects instead,
+    and the solve stops when the bisection cannot move (the bracket ends are
+    adjacent floats).
     """
     r = _rho(alpha)
     e2 = ((r - _rho(alpha + TWO_PI)) / 2.0) ** 2  # _eps(alpha) ** 2
-    # The bracket ends as `_chord_sq` evaluates them: f(0) = -e2, since the
-    # chord at t = 0 is exactly 0, and f(pi/2) = (r - s)^2 + 2 r s - e2 is
-    # above 2 - 1/4, since r, s >= 1 and eps < 1/2 for alpha >= 0.  So the
-    # bracket holds a sign change exactly when e2 > 0.
+    # The chord is the half-angle form of the law of cosines, r^2 + s^2 -
+    # 2 r s cos(t): the raw form cancels catastrophically once the chord drops
+    # below ~sqrt(ulp(2)) ~ 2e-8, this one stays fully accurate.  So f(0) =
+    # -e2 exactly, and f(pi/2) = (r - s)^2 + 2 r s - e2 is above 2 - 1/4,
+    # since r, s >= 1 and eps < 1/2 for alpha >= 0: the bracket holds a sign
+    # change exactly when e2 > 0.
     if not e2 > 0.0:
         raise BracketInvalid(f"no sign change over the quarter-turn bracket at alpha={alpha!r}")
     lo, hi = 0.0, HALF_PI
@@ -157,25 +130,20 @@ def advance(alpha: float, t_guess: float) -> float:
         t = t_new
 
 
-def next_alpha(alpha) -> float:
-    """The unique angle beta > alpha with ||curve(beta) - curve(alpha)|| = eps(alpha).
-
-    Solved by `advance` from the small-step asymptote eps(alpha) / rho(alpha);
-    raises `BracketInvalid` once the step size underflows to zero.
-    """
-    a = _angle("alpha", alpha)
-    return advance(a, _eps(a) / _rho(a))
-
-
 def alpha_chain(alpha0, count: int, max_alpha: float = MAX_ALPHA) -> tuple[np.ndarray, bool]:
-    """Iterate `next_alpha` from `alpha0` for `count` angles, starting each
-    solve from the previous increment.
+    """`count` angles from `alpha0`, each the unique forward angle whose curve
+    point is one step size from the last one's.  Each is solved by `advance`:
+    the first from the small-step asymptote eps/rho, later ones from the
+    previous increment.  Raises `BracketInvalid` once the step size
+    underflows to zero (near alpha ~ 36.7).
 
     Returns (angles, stopped_early); the array is shorter than `count` only
     when an angle exceeded `max_alpha`, in which case stopped_early is True.
     """
-    a = _angle("alpha0", alpha0)
-    n = int(count)
+    a = float(alpha0)
+    if not math.isfinite(a) or a < 0.0:
+        raise ValueError(f"alpha0 must be a finite nonnegative angle in radians, got {alpha0!r}")
+    n = _integer("count", count)
     if n < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     out = np.empty(n, dtype=np.float64)

@@ -11,7 +11,7 @@ from altproj import sequence
 from altproj.euclid import _BOUND_SLACK, DEFAULT_TIE_TOL, DimensionMismatch, _as_cloud, as_point
 from altproj.finite_union import ConvergenceVerdict, classify
 from altproj.serialize import fmt17, render_json
-from altproj.spiral import HALF_PI, BracketInvalid, _chord_sq, _eps, _rho
+from altproj.spiral import HALF_PI, BracketInvalid, _eps, _rho
 
 
 @pytest.fixture(scope="session")
@@ -142,11 +142,25 @@ def write_json_objects(report: sequence.SequenceReport, stream) -> None:
     stream.write(render_json(records_to_json_obj(report)) + "\n")
 
 
+def chord_sq(alpha: float, t: float) -> float:
+    """The squared chord from the curve point at `alpha` to the one at
+    `alpha + t`, the reference formula of the step solve."""
+    # half-angle rearrangement of the law of cosines,
+    # r^2 + s^2 - 2 r s cos(t) = (r - s)^2 + 4 r s sin^2(t/2):
+    # the raw form cancels catastrophically once the chord drops below
+    # ~sqrt(ulp(2)) ~ 2e-8, this one stays fully accurate
+    r = _rho(alpha)
+    s = _rho(alpha + t)
+    d = r - s
+    h = math.sin(0.5 * t)
+    return d * d + 4.0 * r * s * h * h
+
+
 def advance_with_full_bracket(alpha: float, t_guess: float) -> float:
-    """The step solve with both bracket ends evaluated by `_chord_sq`:
+    """The step solve with both bracket ends evaluated by `chord_sq`:
     `spiral.advance` must return the same angle bit for bit."""
     e2 = _eps(alpha) ** 2
-    if not (_chord_sq(alpha, 0.0) - e2 < 0.0 < _chord_sq(alpha, HALF_PI) - e2):
+    if not (chord_sq(alpha, 0.0) - e2 < 0.0 < chord_sq(alpha, HALF_PI) - e2):
         raise BracketInvalid(f"no sign change over the quarter-turn bracket at alpha={alpha!r}")
     r = _rho(alpha)
     lo, hi = 0.0, HALF_PI

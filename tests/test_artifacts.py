@@ -3,7 +3,12 @@
 Each case runs `cli.main` into a temporary directory and compares the
 SHA-256 digest of the artifact with a recorded value.  The digests were
 recorded with Python 3.11.7 and numpy 2.4.6: they belong to this platform's
-libm and numpy, and another platform may round differently.  A change that
+libm, numpy and BLAS, and another platform may round differently.  The
+projectors measure distances as `math.sqrt(v.dot(v))` (`euclid._norm`), and
+numpy's `dot` calls BLAS, whose kernel may round a sum of squares otherwise
+than adding the squares in order: here (OpenBLAS 0.3.31) it does on about
+8 % of random 2-D norms.  So the `run` and `union-batch` digests can move on
+a CPU or BLAS build that rounds differently.  A change that
 moves artifact bytes on purpose updates the digest here and says so in
 CHANGES.md.
 """

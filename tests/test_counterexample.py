@@ -44,12 +44,20 @@ def test_build_validation(report_300):
         build(10, variant="torus")
     with pytest.raises(ValueError):
         build(301, report=report_300)
+    for horizon in (10.5, True, "10"):
+        with pytest.raises(ValueError, match="horizon"):
+            build(horizon, report=report_300)
+    for horizon in (10.0, np.int64(10)):
+        assert build(horizon, report=report_300).horizon == 10
 
 
 def test_max_safe_pairs():
     assert max_safe_pairs(2000) == 999
     assert 2 * max_safe_pairs(2000) + 1 <= 2000
     assert max_safe_pairs(5) == 2
+    with pytest.raises(ValueError, match="horizon"):
+        max_safe_pairs(10.5)
+    assert max_safe_pairs(11.0) == max_safe_pairs(np.int32(11)) == 5
 
 
 def test_run_corollary_reproduces_sequence(report_300):
@@ -94,7 +102,12 @@ def test_make_config_respects_truncation_margin(report_300):
         make_config(sets, 150, 0.0)
     with pytest.raises(ValueError, match="n_pairs must be >= 1"):
         make_config(sets, 0, 0.0)
+    for n_pairs in (2.7, True, "2"):
+        with pytest.raises(ValueError, match="n_pairs"):
+            make_config(sets, n_pairs, 0.0)
     assert make_config(sets, 149, 0.0).max_iter == 149
+    for n_pairs in (149.0, np.int64(149)):
+        assert make_config(sets, n_pairs, 0.0).max_iter == 149
 
 
 @pytest.mark.parametrize("which, dropped", [("A", 2), ("B", 3)])

@@ -53,6 +53,10 @@ def test_generate_single_record():
 def test_generate_validates_n_max():
     with pytest.raises(ValueError):
         generate(0)
+    for n_max in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="n_max"):
+            generate(n_max)
+    assert len(generate(3.0)) == len(generate(np.int64(3))) == 3
 
 
 def test_first_sixteen_records(report_300):

@@ -13,16 +13,12 @@ from altproj.spiral import (
     HALF_PI,
     TWO_PI,
     BracketInvalid,
-    _chord_sq,
-    _curve_xy,
     _eps,
+    _rho,
     advance,
     alpha_chain,
-    eps,
-    next_alpha,
-    rho,
 )
-from conftest import advance_with_full_bracket
+from conftest import advance_with_full_bracket, chord_sq
 
 # Angles computed independently at 60 decimal digits (bracketed root solve on
 # the exact chord equation), frozen here to 22 significant digits.
@@ -74,34 +70,36 @@ DETOUR_ROOTS = {
 
 
 def test_rho_examples():
-    assert rho(0.0) == 2.0
-    assert rho(50.0) == pytest.approx(1.0, abs=1e-20)
-    assert rho(TWO_PI) == 1.0 + math.exp(-TWO_PI)
-    assert rho(1.0) > rho(2.0) > rho(3.0) > 1.0
+    assert _rho(0.0) == 2.0
+    assert _rho(50.0) == pytest.approx(1.0, abs=1e-20)
+    assert _rho(TWO_PI) == 1.0 + math.exp(-TWO_PI)
+    assert _rho(1.0) > _rho(2.0) > _rho(3.0) > 1.0
 
 
-def test_rho_rejects_negative_and_nonfinite():
-    with pytest.raises(ValueError):
-        rho(-0.1)
-    with pytest.raises(ValueError):
-        rho(math.nan)
-    with pytest.raises(ValueError):
-        eps(-1.0)
+def test_alpha_chain_rejects_negative_and_nonfinite_start():
+    with pytest.raises(ValueError, match="alpha0"):
+        alpha_chain(-0.1, 3)
+    with pytest.raises(ValueError, match="alpha0"):
+        alpha_chain(math.nan, 3)
+    with pytest.raises(ValueError, match="alpha0"):
+        alpha_chain(-1.0, 3)
+    with pytest.raises(ValueError, match="alpha0"):
+        alpha_chain(math.inf, 3)
 
 
 def test_eps_initial_value():
-    assert eps(0.0) == pytest.approx(EPS0, abs=1e-16)
-    assert eps(0.0) == pytest.approx((1.0 - math.exp(-TWO_PI)) / 2.0, abs=1e-16)
+    assert _eps(0.0) == pytest.approx(EPS0, abs=1e-16)
+    assert _eps(0.0) == pytest.approx((1.0 - math.exp(-TWO_PI)) / 2.0, abs=1e-16)
 
 
 def test_eps_below_sphere_distance():
     for t in np.linspace(0.0, 40.0, 200).tolist():
-        assert eps(t) < math.exp(-t)
+        assert _eps(t) < math.exp(-t)
 
 
 def test_eps_strictly_decreasing():
-    assert eps(10.0) > eps(11.0)
-    values = [eps(t) for t in np.linspace(0.0, 25.0, 100).tolist()]
+    assert _eps(10.0) > _eps(11.0)
+    values = [_eps(t) for t in np.linspace(0.0, 25.0, 100).tolist()]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -109,7 +107,7 @@ def test_eps_ratio_closed_form_and_monotone():
     grid = np.linspace(0.0, 30.0, 500).tolist()
     ratios = []
     for t in grid:
-        ratio = eps(t) / rho(t)
+        ratio = _eps(t) / _rho(t)
         closed = 0.5 * (1.0 - math.exp(-TWO_PI)) / (1.0 + math.exp(t))
         assert abs(ratio - closed) <= 1e-14
         ratios.append(ratio)
@@ -117,17 +115,16 @@ def test_eps_ratio_closed_form_and_monotone():
 
 
 def test_curve_examples():
-    np.testing.assert_array_equal(_curve_xy(0.0), [2.0, 0.0])
-    quarter = _curve_xy(HALF_PI)
+    start, quarter, full = spiral.columns(np.array([0.0, HALF_PI, TWO_PI]))[2]
+    np.testing.assert_array_equal(start, [2.0, 0.0])
     assert abs(quarter[0]) <= 1e-15
     assert quarter[1] == 1.0 + math.exp(-HALF_PI)
-    full = _curve_xy(TWO_PI)
     assert full[0] == pytest.approx(1.0 + math.exp(-TWO_PI), abs=1e-15)
     assert abs(full[1]) <= 1e-15
 
 
 def test_curve_injective_on_samples():
-    pts = [_curve_xy(t) for t in np.linspace(0.0, 20.0, 400).tolist()]
+    pts = [tuple(p) for p in spiral.columns(np.linspace(0.0, 20.0, 400))[2].tolist()]
     assert len(set(pts)) == len(pts)
 
 
@@ -138,28 +135,31 @@ def test_columns_equal_scalar_functions():
         rhos, epss, points = spiral.columns(angles[:size])
         assert rhos.shape == epss.shape == (size,) and points.shape == (size, 2)
         for i, a in enumerate(angles[:size].tolist()):
-            assert rhos[i] == rho(a)
-            assert epss[i] == eps(a)
-            np.testing.assert_array_equal(points[i], _curve_xy(a))
+            r = 1.0 + math.exp(-a)
+            assert rhos[i] == r
+            assert epss[i] == (r - (1.0 + math.exp(-(a + TWO_PI)))) / 2.0
+            np.testing.assert_array_equal(points[i], [r * math.cos(a), r * math.sin(a)])
 
 
 def test_chord_sq_zero_at_origin_and_right_angle():
-    assert _chord_sq(0.3, 0.0) == 0.0
-    val = _chord_sq(0.0, HALF_PI)
-    assert val == pytest.approx(rho(0.0) ** 2 + rho(HALF_PI) ** 2, rel=1e-14)
+    assert chord_sq(0.3, 0.0) == 0.0
+    val = chord_sq(0.0, HALF_PI)
+    assert val == pytest.approx(_rho(0.0) ** 2 + _rho(HALF_PI) ** 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0])
 def test_chord_sq_monotone_on_quarter_turn(alpha):
     ts = np.linspace(0.0, HALF_PI, 100).tolist()
-    vals = [_chord_sq(alpha, t) for t in ts]
+    vals = [chord_sq(alpha, t) for t in ts]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_next_alpha_matches_independent_oracle():
     a = 0.0
+    # three one-step chains: each solve starts from eps/rho, not from the
+    # previous increment as in a longer chain
     for expected in ORACLE_ALPHAS[1:4]:
-        a = next_alpha(a)
+        a = alpha_chain(a, 2)[0][1]
         assert a == pytest.approx(expected, abs=1e-15)
 
 
@@ -174,8 +174,9 @@ def test_next_alpha_residuals_over_random_angles():
     alphas = rng.uniform(0.0, 30.0, 1000)
     worst = 0.0
     for a in alphas.tolist():
-        b = next_alpha(a)
-        resid = abs(float(np.linalg.norm(np.subtract(_curve_xy(b), _curve_xy(a)))) - eps(a))
+        b = alpha_chain(a, 2)[0][1]
+        pa, pb = spiral.columns(np.array([a, b]))[2]
+        resid = abs(float(np.linalg.norm(pb - pa)) - _eps(a))
         worst = max(worst, resid)
     assert worst <= 1e-14
 
@@ -183,7 +184,7 @@ def test_next_alpha_residuals_over_random_angles():
 def test_next_alpha_step_stays_in_bracket():
     rng = np.random.default_rng(42)
     for a in rng.uniform(0.0, 30.0, 300).tolist():
-        b = next_alpha(a)
+        b = alpha_chain(a, 2)[0][1]
         assert a < b
         assert b - a <= spiral.STEP_UPPER_BOUND + 1e-12
 
@@ -192,23 +193,24 @@ def test_next_alpha_step_stays_in_bracket():
 def test_unique_sign_change_on_grid(alpha):
     # geometric grid: the root shrinks like the step size, so a uniform grid
     # would step straight over it at large angles
-    e2 = eps(alpha) ** 2
+    e2 = _eps(alpha) ** 2
     ts = np.geomspace(1e-13, HALF_PI, 10_000)
-    signs = np.sign([_chord_sq(alpha, t) - e2 for t in ts.tolist()])
+    signs = np.sign([chord_sq(alpha, t) - e2 for t in ts.tolist()])
     flips = int(np.count_nonzero(np.diff(signs) != 0))
     assert flips == 1
 
 
 def test_step_asymptote_matches_ratio_at_large_angle():
     a = 20.0
-    delta = next_alpha(a) - a
-    ratio = eps(a) / rho(a)
+    delta = alpha_chain(a, 2)[0][1] - a
+    ratio = _eps(a) / _rho(a)
     assert abs(delta - ratio) / ratio <= 1e-3
 
 
 def test_bracket_invalid_when_step_size_underflows():
+    # past alpha ~36.7 the step size is 0; below `MAX_ALPHA`, so the chain solves
     with pytest.raises(BracketInvalid):
-        next_alpha(800.0)
+        alpha_chain(40.0, 2)
 
 
 @pytest.mark.parametrize("guess", [0.0, 1e-300, HALF_PI, 3.0])
@@ -216,7 +218,7 @@ def test_advance_converges_from_any_guess(guess):
     # 0, pi/2 and 3.0 are not strictly inside the bracket, so the solve starts
     # from its midpoint; from 1e-300 the first Newton step lands far outside it
     for alpha in (0.0, 1.0, 5.0, 20.0):
-        expected = next_alpha(alpha)
+        expected = alpha_chain(alpha, 2)[0][1]
         assert abs(advance(alpha, guess) - expected) <= 2 * math.ulp(expected)
 
 
@@ -224,7 +226,7 @@ def test_alpha_chain_equals_full_bracket_solve():
     angles, stopped = alpha_chain(0.0, 20_000)
     assert not stopped
     a = 0.0
-    step = eps(a) / rho(a)
+    step = _eps(a) / _rho(a)
     expected = [a]
     for _ in range(19_999):
         b = advance_with_full_bracket(a, step)
@@ -285,7 +287,27 @@ def test_advance_stops_on_a_bracket_of_adjacent_floats(monkeypatch):
     alpha = float.fromhex("0x1.1a6d8d5a6a4f9p-10")
     _count_exp(monkeypatch, limit=500)
     b = advance(alpha, 3.0)
-    assert b == float.fromhex("0x1.ec1dc7d15dc38p-3") == next_alpha(alpha)
+    assert b == float.fromhex("0x1.ec1dc7d15dc38p-3") == alpha_chain(alpha, 2)[0][1]
+
+
+def test_advance_terminates_from_any_guess(monkeypatch):
+    # `advance` is public, so nothing keeps its guesses near the root: mix
+    # guesses outside the bracket (the solve starts from its midpoint), tiny
+    # ones down to 1e-300, ones anywhere inside it, and 0
+    rng = np.random.default_rng(20_000)
+    alphas = rng.uniform(0.0, 36.0, 20_000)
+    kinds = rng.integers(0, 4, alphas.size)
+    guesses = np.select(
+        [kinds == 0, kinds == 1, kinds == 2],
+        [rng.choice([-1.0, 1.0], alphas.size) * rng.uniform(HALF_PI, 4.0, alphas.size),
+         10.0 ** rng.uniform(-300.0, -1.0, alphas.size),
+         rng.uniform(0.0, HALF_PI, alphas.size)],
+        0.0)
+    # rho(alpha) and rho(alpha + 2 pi), then at most 60 chord evaluations
+    calls = _count_exp(monkeypatch, limit=2 + 60)
+    for alpha, guess in zip(alphas.tolist(), guesses.tolist()):
+        calls[0] = 0
+        assert advance(alpha, guess) == advance_with_full_bracket(alpha, guess), (alpha, guess)
 
 
 def _advance_outcome(solve, alpha, guess):
@@ -296,10 +318,10 @@ def _advance_outcome(solve, alpha, guess):
 
 
 def test_bracket_check_premise_holds_past_the_step_size_underflow():
-    # `advance` checks only e2 > 0, because f(pi/2) = _chord_sq(alpha, pi/2)
+    # `advance` checks only e2 > 0, because f(pi/2) = chord_sq(alpha, pi/2)
     # - e2 stays above 7/4; the grid runs past alpha ~36.7, where eps is 0
     for alpha in np.linspace(0.0, 40.0, 40_001).tolist():
-        assert _chord_sq(alpha, HALF_PI) - _eps(alpha) ** 2 > 1.75
+        assert chord_sq(alpha, HALF_PI) - _eps(alpha) ** 2 > 1.75
         assert ((_advance_outcome(advance, alpha, 0.1) == "BracketInvalid")
                 == (_eps(alpha) == 0.0)), alpha
 
@@ -315,6 +337,12 @@ def test_advance_equals_full_bracket_solve(alpha, guess):
 def test_alpha_chain_validates_count():
     with pytest.raises(ValueError):
         alpha_chain(0.0, 0)
+    for count in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="count"):
+            alpha_chain(0.0, count)
+    expected = alpha_chain(0.0, 5)[0]
+    for count in (5.0, np.int64(5), np.int32(5)):
+        np.testing.assert_array_equal(alpha_chain(0.0, count)[0], expected)
 
 
 def test_alpha_chain_stops_at_max_alpha():
