@@ -15,14 +15,21 @@ nearest point gives an upper bound on the minimum, its smallest distance.
 When the ball of that radius plus `tie_tol` lies inside the leaf's k-d cell
 (the ball-within-bounds test of Friedman, Bentley and Finkel, ACM TOMS
 1977), that leaf alone answers; otherwise one batch visits every leaf whose
-box lies within that radius.  Either way the index returns exactly the
-distance and candidates a full scan would.  The one deliberately fatal case
-is projecting the center of a sphere, where the minimizer set is the whole
-sphere: that raises `DegenerateProjection`.
+box lies within that radius, the smaller of the remembered leaf's minimum
+and that of the leaf nearest the query.  Either way the index returns
+exactly the distance and candidates a full scan would.  For the MAP
+driver's speculative batches, `_confirm` checks many predicted answers at
+once: `_CloudIndex.search_many` runs the same distances and cell test
+vectorised over the queries, each on its predicted point's leaf, and any
+row it cannot settle, a tie or a query near its cell's faces, goes to the
+scalar pass.  The one deliberately fatal case is projecting the center of a
+sphere, where the minimizer set is the whole sphere: that raises
+`DegenerateProjection`.
 
 Every query is a pure function of its inputs.  A point cloud memoises two
-things, its index (built on the first query) and its last nearest point;
-neither changes any result, and the set itself is immutable after
+things, its index (built on the first query, with the leaf of each point
+and the batch buffers added on the first batch) and its last nearest
+point; neither changes any result, and the set itself is immutable after
 construction.
 """
 
@@ -222,6 +229,11 @@ class ProjectorSpec:
     def _nearest(self, q: np.ndarray, tie_tol: float) -> ProjectionResult:
         raise NotImplementedError
 
+    def _distance(self, q: np.ndarray, tie_tol: float) -> float:
+        """`_nearest(q, tie_tol).distance`, bit for bit; a set whose
+        distance costs less than its nearest points overrides it."""
+        return self._nearest(q, tie_tol).distance
+
     def to_dict(self) -> dict:
         """The JSON-object form that `spec_from_dict` reads back."""
         kind, names = _KIND_OF[type(self)]
@@ -248,6 +260,9 @@ class _Round(ProjectorSpec):
 
 
 class Sphere(_Round):
+    def _distance(self, q, tie_tol):
+        return abs(_norm(q - self.center) - self.radius)
+
     def _nearest(self, q, tie_tol):
         diff = q - self.center
         d = _norm(diff)
@@ -258,6 +273,10 @@ class Sphere(_Round):
 
 
 class Ball(_Round):
+    def _distance(self, q, tie_tol):
+        d = _norm(q - self.center)
+        return 0.0 if d <= self.radius else d - self.radius
+
     def _nearest(self, q, tie_tol):
         diff = q - self.center
         d = _norm(diff)
@@ -405,6 +424,14 @@ class _CloudIndex:
         self.lo = np.ascontiguousarray(self.points.min(axis=1).T)
         self.hi = np.ascontiguousarray(self.points.max(axis=1).T)
         self._slot = 0  # slot of the last nearest point; any slot will do
+        self._scratch = None  # `search_many`'s buffers
+
+    @cached_property
+    def leaf_of(self) -> np.ndarray:
+        """Each original index's leaf, built on the first `search_many`."""
+        leaf_of = np.empty(self.ids.size, dtype=np.int32)  # the top-up slots go unused
+        leaf_of[self.ids] = np.arange(len(self.ids), dtype=np.int32)[:, None]
+        return leaf_of
 
     def search(self, q: np.ndarray, tie_tol: float) -> tuple[float, list]:
         """The minimum distance from `q` and the sorted original indices of
@@ -427,11 +454,15 @@ class _CloudIndex:
         `reach` below by its root, since the leaf's points lie in the cell,
         so the test fails as it must.
 
-        Otherwise `leaves_within` bounds every leaf's box against q, a
-        zero-width box, in one vectorised pass, and one batch visits every
-        leaf whose bound does not exceed `reach + tie_tol`; the visited
-        leaves hold the minimum and all of its ties.  The remembered slot
-        only narrows the work, so no result depends on it.
+        Otherwise `bounds` bounds every leaf's box against q, a zero-width
+        box, in one vectorised pass.  The leaf with the smallest bound
+        usually holds a far nearer point than the remembered leaf when the
+        query has jumped, so its minimum, when smaller, tightens the
+        threshold; either minimum is the distance of a point of the cloud,
+        so `threshold + tie_tol` still bounds the minimum and all of its
+        ties.  One batch then visits every leaf whose bound does not exceed
+        it.  The remembered slot only narrows the work, so no result depends
+        on it.
         """
         width = self.ids.shape[1]
         leaf = self._slot // width
@@ -446,7 +477,11 @@ class _CloudIndex:
         gap = min(*map(operator.sub, at, self.cell_lo[leaf].tolist()),
                   *map(operator.sub, self.cell_hi[leaf].tolist(), at))
         if math.sqrt(gap * gap) <= limit:
-            take = self.leaves_within(q, q, limit)
+            bound = self.bounds(q, q)
+            near = int(bound.argmin())
+            if near != leaf:
+                limit = min(limit, float(_dists(self.points[near], q).min()) + tie_tol)
+            take = np.flatnonzero(bound <= limit)
             # `take` gathers faster than fancy indexing
             dists = _dists(self.points.take(take, axis=0).reshape(-1, q.size), q)
             ids = self.ids.take(take, axis=0).ravel()
@@ -455,12 +490,62 @@ class _CloudIndex:
         self._slot = int(take[best // width]) * width + best % width
         return dmin, sorted(set(ids[dists <= dmin + tie_tol].tolist()))
 
-    def leaves_within(self, lo: np.ndarray, hi: np.ndarray, reach: float) -> np.ndarray:
-        """Every leaf whose box may hold a point within `reach` of the box [lo, hi].
+    def search_many(self, queries: np.ndarray, expect: np.ndarray,
+                    tie_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Whether each row of `queries` has the point of original index
+        `expect[j]` as its one nearest point, decided from that point's leaf.
+
+        Returns `(hit, dmin, slot)`.  Every row's distances to the points of
+        its expected point's leaf are `_dists`'s, computed for all k rows in
+        one `(k * width, d)` pass, with the leaf's minimum `dmin[j]` at slot
+        `slot[j]`.  `hit[j]` holds when that leaf passes `search`'s cell
+        test for row j, exactly one of its slots lies within `tie_tol` of
+        the minimum, and that slot holds `expect[j]`; `search` then returns
+        `dmin[j]` and `[expect[j]]`, bit for bit.  A row that does not hit
+        is undecided, not refuted: `search` answers it.  The remembered slot
+        is left alone.
+
+        The block and its distances are written into two buffers that the
+        index keeps and grows to the largest k asked for, so batch after
+        batch allocates no temporary of their size.
+        """
+        k, d = queries.shape
+        width = self.ids.shape[1]
+        leaves = self.leaf_of[expect]
+        if self._scratch is None or len(self._scratch[1]) < k:
+            self._scratch = (np.empty((k, width, d)), np.empty((k, width)))
+        block, dists = (buf[:k] for buf in self._scratch)
+        self.points.take(leaves, axis=0, out=block)
+        if d <= 2:
+            # Two squares have one sum in either order, so adding the
+            # columns is `_dists`'s sum, some 5x faster on rows this short.
+            np.subtract(block[..., 0], queries[:, :1], out=dists)
+            dists *= dists
+            if d == 2:
+                part = block[..., 1]
+                part -= queries[:, 1:]
+                part *= part
+                dists += part
+        else:
+            block -= queries[:, None]
+            block *= block
+            block.reshape(-1, d).sum(axis=1, out=dists.reshape(-1))
+        np.sqrt(dists, out=dists)
+        best = dists.argmin(axis=1)
+        dmin = dists[np.arange(k), best]
+        limit = dmin + tie_tol
+        lone = np.count_nonzero(dists <= limit[:, None], axis=1) == 1
+        gap = np.minimum((queries - self.cell_lo.take(leaves, axis=0)).min(axis=1),
+                         (self.cell_hi.take(leaves, axis=0) - queries).min(axis=1))
+        hit = (np.sqrt(gap * gap) > limit) & lone & (self.ids[leaves, best] == expect)
+        return hit, dmin, leaves * width + best
+
+    def bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """A lower bound on the distance from the box [lo, hi] to each leaf.
 
         The one leaf bound of the index; a query point q is the box [q, q].
-        It is shrunk by `_BOUND_SLACK`, so a leaf left out holds no point
-        within `reach` of any point of [lo, hi].
+        It is shrunk by `_BOUND_SLACK`, so a leaf whose bound exceeds r
+        holds no point within r of any point of [lo, hi].
         """
         gap = self.lo - hi[:, None]
         np.maximum(gap, lo[:, None] - self.hi, out=gap)
@@ -468,7 +553,11 @@ class _CloudIndex:
         gap *= gap
         bound = np.sqrt(gap.sum(axis=0))
         bound *= _BOUND_SLACK
-        return np.flatnonzero(bound <= reach)
+        return bound
+
+    def leaves_within(self, lo: np.ndarray, hi: np.ndarray, reach: float) -> np.ndarray:
+        """Every leaf whose box may hold a point within `reach` of the box [lo, hi]."""
+        return np.flatnonzero(self.bounds(lo, hi) <= reach)
 
 
 @dataclass(eq=False)
@@ -487,6 +576,13 @@ class PointCloud(ProjectorSpec):
     def _nearest(self, q, tie_tol):
         dmin, near = self._index.search(q, tie_tol)
         return ProjectionResult(dmin, _dedupe([self.points[i].copy() for i in near], tie_tol))
+
+    def _last_index(self, p: np.ndarray) -> int:
+        """The index of `p` in the cloud when `p` is, bit for bit, the
+        last query's nearest point, else -1."""
+        index = self._index
+        i = int(index.ids.flat[index._slot])
+        return i if self.points[i].tobytes() == p.tobytes() else -1
 
 
 @dataclass(eq=False)
@@ -515,6 +611,38 @@ class Union(ProjectorSpec):
 
     def to_dict(self):
         return {"type": "union", "members": [m.to_dict() for m in self.members]}
+
+
+def _confirm(spec: ProjectorSpec, cloud: PointCloud, queries: np.ndarray,
+             expect: np.ndarray, tie_tol: float) -> int:
+    """How many leading rows of `queries` have as their projection onto
+    `spec` the one point `cloud.points[expect[j]]`, bit for bit.
+
+    `spec` is `cloud` or a union with `cloud` as a member.  A row that the
+    cloud's `search_many` hits needs no more work on a bare cloud; in a
+    union, every other member's distance, from its own `_distance`, must
+    also exceed the cloud's minimum plus `tie_tol`, so that the union
+    answers with the cloud's one point.  Every other row is projected by
+    `spec._nearest`, the scalar pass itself.  So a confirmed row is exactly
+    what `project` returns: single-valued, and the expected point.  The
+    count stops at the first row that is not confirmed.
+    """
+    index = cloud._index
+    hit, dmin, slot = index.search_many(queries, expect, tie_tol)
+    others = [m for m in spec.members if m is not cloud] if spec is not cloud else []
+    for j, (lone, d) in enumerate(zip(hit.tolist(), dmin.tolist())):
+        q = queries[j]
+        if lone:
+            limit = d + tie_tol
+            if all(m._distance(q, tie_tol) > limit for m in others):
+                continue
+        cands = spec._nearest(q, tie_tol).candidates
+        if (cands is None or len(cands) != 1
+                or cands[0].tobytes() != cloud.points[expect[j]].tobytes()):
+            return j
+    if hit[-1]:  # else the last row's scalar search has set the slot
+        index._slot = int(slot[-1])
+    return len(queries)
 
 
 #: Set type -> (class, JSON field names in constructor order).

@@ -14,6 +14,21 @@ and any multivalued projection events.  The verdict classifies the run:
 
 Both projections gather candidates within the config's `tie_tol`.  Runs are
 deterministic: identical configs produce bitwise-identical traces.
+
+On point clouds the run speculates, and is still the sequential run.  Every
+answer of a cloud is a stored point, so when both sets are a cloud, or a
+union with one cloud member, the next answers can be predicted: each
+set's last cloud index plus its last index stride (value prediction,
+Lipasti, Wilkerson and Shen, ASPLOS 1996, in the predict-and-correct shape
+of parareal).  A batch projects all predicted queries of each set at once
+and keeps the longest prefix of pairs whose answers are single-valued and
+bitwise the predictions.  Each query of that prefix is then the query the
+sequential run would have made, and its answer is exactly what `project`
+returns for it, so the rows, the step norms (taken by `_norm` row by row)
+and the stop rule see the same bits.  A multivalued, degenerate or
+mispredicted answer is never accepted: that pair goes through `_step`, the
+one place where tie policy, events and projection errors are handled.
+Sets without a cloud are projected one `_step` at a time.
 """
 
 from __future__ import annotations
@@ -152,18 +167,114 @@ def _diameter(points: np.ndarray) -> float:
     return math.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2).max())
 
 
+#: The most MAP pairs one speculative batch predicts.
+_BATCH_MAX = 64
+
+
+class _Walk:
+    """What a batch predicts of one set's answers: the set's one point
+    cloud, the cloud index of its last answer, and the index stride from
+    the answer before it (None until both are cloud points)."""
+
+    def __init__(self, cloud: euclid.PointCloud):
+        self.cloud = cloud
+        self.last: Optional[int] = None
+        self.stride: Optional[int] = None
+
+    def learn(self, p: np.ndarray) -> None:
+        """Take `p`, just returned by `_step`, as the last answer."""
+        i = self.cloud._last_index(p)
+        if i < 0:
+            self.last = self.stride = None
+        else:
+            self.stride = None if self.last is None else i - self.last
+            self.last = i
+
+    def room(self, k: int) -> int:
+        """How many of the next `k` predictions lie inside the cloud."""
+        s = self.stride
+        if s is None:
+            return 0
+        if s > 0:
+            return min(k, (len(self.cloud.points) - 1 - self.last) // s)
+        if s < 0:
+            return min(k, self.last // -s)
+        return k
+
+
+def _walk(spec: ProjectorSpec) -> Optional[_Walk]:
+    """A walk for a point cloud, or for a union with exactly one cloud member."""
+    if isinstance(spec, euclid.PointCloud):
+        return _Walk(spec)
+    if isinstance(spec, euclid.Union):
+        clouds = [m for m in spec.members if isinstance(m, euclid.PointCloud)]
+        if len(clouds) == 1:
+            return _Walk(clouds[0])
+    return None
+
+
+def _pairs(config: MapConfig, events: list, counts: list):
+    """The MAP pairs (a_n, b_n) for n = 0, 1, ..., exactly as `_step` gives them.
+
+    When both sets have a walk with a stride, the next k answers of each
+    are predicted as the last index plus 1..k strides, and `_confirm`
+    projects all k A-queries (b_{n-1}, then the predicted b's) and the
+    B-queries (the predicted a's) in one batch per set.  A confirmed answer
+    is single-valued and bitwise the prediction, so the pairs up to the
+    first unconfirmed one are the sequential pairs; that one goes through
+    `_step`.  k doubles after a full batch, up to `_BATCH_MAX`, and drops
+    to 1 after a miss.  `counts` tallies the batches and the pairs they gave.
+    """
+    set_a, set_b, tol = config.set_a, config.set_b, config.tie_tol
+    walk_a = _walk(set_a)
+    walk_b = walk_a and _walk(set_b)
+    speculate = walk_b is not None
+    b = config.start
+    n = 0
+    size = 1
+    while True:
+        k = min(walk_a.room(size), walk_b.room(size), config.max_iter - n) if speculate else 0
+        if k > 0:
+            steps = np.arange(1, k + 1)
+            ia = walk_a.last + walk_a.stride * steps
+            ib = walk_b.last + walk_b.stride * steps
+            pa, pb = walk_a.cloud.points[ia], walk_b.cloud.points[ib]
+            m = euclid._confirm(set_a, walk_a.cloud, np.vstack((b, pb[:-1])), ia, tol)
+            if m:
+                m = euclid._confirm(set_b, walk_b.cloud, pa[:m], ib[:m], tol)
+            counts[0] += 1
+            for a, b in zip(pa[:m], pb[:m]):
+                counts[1] += 1
+                yield a, b
+            n += m
+            if m:
+                walk_a.last, walk_b.last = int(ia[m - 1]), int(ib[m - 1])
+            if m == k:
+                size = min(2 * size, _BATCH_MAX)
+                continue
+            size = 1
+        a = _step(set_a, b, "A", n, config, events)
+        if speculate:
+            walk_a.learn(a)
+        b = _step(set_b, a, "B", n, config, events)
+        if speculate:
+            walk_b.learn(b)
+        yield a, b
+        n += 1
+
+
 def run(config: MapConfig) -> MapTrace:
     """Alternate projections from config.start until the stop rule or the budget."""
     a_rows, b_rows, step_ab, step_ba, events = [], [], [], [], []
+    counts = [0, 0]
     b = config.start
     stop = config.stop_step
     stopped = False
-    for n in range(config.max_iter):
-        a = _step(config.set_a, b, "A", n, config, events)
+    for n, (a, b_next) in zip(range(config.max_iter), _pairs(config, events, counts)):
         d_in = euclid._norm(a - b)
         if n >= 1:
             step_ba.append(d_in)
-        b = _step(config.set_b, a, "B", n, config, events)
+        b = b_next
         d_ab = euclid._norm(b - a)
         step_ab.append(d_ab)
         a_rows.append(a)
@@ -171,6 +282,8 @@ def run(config: MapConfig) -> MapTrace:
         if stop > 0.0 and d_in < stop and d_ab < stop:
             stopped = True
             break
+    log.debug("MAP run: %d speculative batches gave %d pairs, _step gave %d",
+              counts[0], counts[1], len(a_rows) - counts[1])
     # Stacked once at the stop: rows preallocated by max_iter would cost
     # max_iter rows even for a run that stops after a few.
     a_arr, b_arr = np.array(a_rows), np.array(b_rows)

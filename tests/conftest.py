@@ -7,9 +7,10 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from altproj import sequence
+from altproj import euclid, sequence
 from altproj.euclid import _BOUND_SLACK, DEFAULT_TIE_TOL, DimensionMismatch, _as_cloud, as_point
 from altproj.finite_union import ConvergenceVerdict, classify
+from altproj.map_driver import MapConfig, MapTrace, _classify, _step
 from altproj.serialize import fmt17, render_json
 from altproj.spiral import HALF_PI, BracketInvalid, _eps, _rho
 
@@ -216,3 +217,32 @@ def verdict_to_obj(seed: int, verdict: ConvergenceVerdict) -> dict:
 def verdict_line(seed: int, verdict: ConvergenceVerdict) -> str:
     """The verdict's JSON line: `finite_union.run_batch` must write the same bytes."""
     return render_json_compact(verdict_to_obj(seed, verdict)) + "\n"
+
+
+def run_sequential(config: MapConfig) -> MapTrace:
+    """The MAP driver one `_step` at a time, the loop `map_driver.run`
+    replaced with speculative batches: `run` must give the same trace,
+    events and verdict, and raise the same errors."""
+    a_rows, b_rows, step_ab, step_ba, events = [], [], [], [], []
+    b = config.start
+    stop = config.stop_step
+    stopped = False
+    for n in range(config.max_iter):
+        a = _step(config.set_a, b, "A", n, config, events)
+        d_in = euclid._norm(a - b)
+        if n >= 1:
+            step_ba.append(d_in)
+        b = _step(config.set_b, a, "B", n, config, events)
+        d_ab = euclid._norm(b - a)
+        step_ab.append(d_ab)
+        a_rows.append(a)
+        b_rows.append(b)
+        if stop > 0.0 and d_in < stop and d_ab < stop:
+            stopped = True
+            break
+    # Stacked once at the stop: rows preallocated by max_iter would cost
+    # max_iter rows even for a run that stops after a few.
+    a_arr, b_arr = np.array(a_rows), np.array(b_rows)
+    ab_arr, ba_arr = np.array(step_ab), np.array(step_ba)
+    verdict = _classify(a_arr, b_arr, ab_arr, ba_arr, stop, stopped)
+    return MapTrace(a_arr, b_arr, ab_arr, ba_arr, events, verdict)

@@ -647,3 +647,64 @@ def test_face_test_holds_where_squares_are_subnormal():
     res = cloud.project(q, 1e-300)
     _assert_matches_oracle(res, _oracle([cloud], q, 1e-300))
     assert res.multivalued
+
+
+def test_distance_is_the_nearest_distance():
+    # `_distance` answers a union's speculative batch in place of `_nearest`;
+    # the two must agree bit for bit, also inside a ball and at a center
+    rng = np.random.default_rng(2718)
+    for _ in range(500):
+        dim = int(rng.integers(1, 5))
+        spec = _random_primitive(rng, dim)
+        queries = [rng.normal(size=dim) * 3.0]
+        if isinstance(spec, (Sphere, Ball)):
+            queries += [spec.center.copy(), spec.center + 0.1 * rng.normal(size=dim)]
+        for q in queries:
+            assert spec._distance(q, 1e-9) == spec._nearest(q, 1e-9).distance
+
+
+@given(dim=st.integers(1, 4), n=st.integers(1, 5 * LEAF_SIZE),
+       seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["generic", "curve", "stacks", "grid"]),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-3, 0.3]))
+@settings(max_examples=150, deadline=None)
+def test_search_many_hits_only_what_search_returns(dim, n, seed, layout, tol):
+    # Rows are queries near cloud points, each expecting its own point or a
+    # random one; a hit must be exactly `search`'s answer, and the batch is
+    # not vacuous: a query on a lone point of a generic cloud hits.
+    rng = np.random.default_rng(seed)
+    pts = _cloud_layout(layout, rng, n, dim)
+    index = PointCloud(pts)._index
+    k = int(rng.integers(1, 40))
+    own = rng.integers(0, n, size=k)
+    queries = pts[own] + rng.normal(size=(k, dim)) * rng.choice([0.0, 1e-3, 0.3], size=(k, 1))
+    expect = np.where(rng.random(k) < 0.7, own, rng.integers(0, n, size=k))
+    hit, dmin, slot = index.search_many(queries, expect, tol)
+    for j in range(k):
+        if hit[j]:
+            assert index.search(queries[j], tol) == (dmin[j], [expect[j]])
+            assert index.ids.flat[slot[j]] == expect[j]
+    if layout in ("generic", "curve") and tol < 1e-3:
+        on_point = np.flatnonzero(expect == own)
+        exact = index.search_many(pts[expect[on_point]], expect[on_point], tol)[0]
+        assert exact.any() or on_point.size == 0
+
+
+def test_incoherent_queries_visit_few_leaves(report_100k, monkeypatch):
+    # A query far from the remembered leaf takes the smaller of its minimum
+    # and the minimum of the leaf with the smallest bound as the threshold,
+    # so shuffled queries visit a few leaves, not most of the cloud.
+    cloud = PointCloud(report_100k.points[0::2])
+    queries = report_100k.points[1::2][np.random.default_rng(0).permutation(50_000)[:1000]]
+    rows = 0
+    dists = euclid._dists
+
+    def counting(points, q):
+        nonlocal rows
+        rows += len(points)
+        return dists(points, q)
+
+    monkeypatch.setattr(euclid, "_dists", counting)
+    for q in queries:
+        cloud.project(q, 1e-11)
+    assert rows <= len(queries) * 4 * LEAF_SIZE
