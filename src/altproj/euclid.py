@@ -230,8 +230,8 @@ class ProjectorSpec:
         raise NotImplementedError
 
     def _distance(self, q: np.ndarray, tie_tol: float) -> float:
-        """`_nearest(q, tie_tol).distance`, bit for bit; a set whose
-        distance costs less than its nearest points overrides it."""
+        """`_nearest(q, tie_tol).distance`; a set whose distance costs less
+        than its nearest points overrides it with the same expression."""
         return self._nearest(q, tie_tol).distance
 
     def to_dict(self) -> dict:
@@ -258,32 +258,36 @@ class _Round(ProjectorSpec):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         self.dim = self.center.size
 
+    def _distance(self, q, tie_tol):
+        # `_nearest`'s distance, without its nearest point: the same
+        # difference, norm and `_gap`, the set's distance at norm d
+        return self._gap(_norm(q - self.center))
+
 
 class Sphere(_Round):
-    def _distance(self, q, tie_tol):
-        return abs(_norm(q - self.center) - self.radius)
+    def _gap(self, d):
+        return abs(d - self.radius)
 
     def _nearest(self, q, tie_tol):
         diff = q - self.center
         d = _norm(diff)
-        dist = abs(d - self.radius)
+        dist = self._gap(d)
         if d <= _CENTER_TOL:
             return ProjectionResult(dist, None)
         return ProjectionResult(dist, [_radial_point(self.center, self.radius, diff, d)])
 
 
 class Ball(_Round):
-    def _distance(self, q, tie_tol):
-        d = _norm(q - self.center)
+    def _gap(self, d):
         return 0.0 if d <= self.radius else d - self.radius
 
     def _nearest(self, q, tie_tol):
         diff = q - self.center
         d = _norm(diff)
-        if d <= self.radius:
+        dist = self._gap(d)
+        if dist == 0.0:  # q is in the ball: d - radius > 0 whenever d > radius
             return ProjectionResult(0.0, [q.copy()])
-        return ProjectionResult(d - self.radius,
-                                [_radial_point(self.center, self.radius, diff, d)])
+        return ProjectionResult(dist, [_radial_point(self.center, self.radius, diff, d)])
 
 
 @dataclass(eq=False)
@@ -393,9 +397,9 @@ class _CloudIndex:
 
     Points are split at the median into leaf buckets of `LEAF_SIZE`, stored
     permuted and contiguous as `(L, width, d)`, with per-leaf bounding boxes
-    `lo`/`hi`, kept transposed, `(d, L)`: `leaves_within`, the one bound
-    pass of both exact searches (`search` and `sequence.verify_nearest`),
-    then works on contiguous rows, about twice as fast as on `(L, d)`.
+    `lo`/`hi`, kept transposed, `(d, L)`: `bounds`, the one bound pass of
+    both exact searches (`search` and `sequence.verify_nearest`), then
+    works on contiguous rows, about twice as fast as on `(L, d)`.
     The last bucket is topped up with repeats of its final point, which
     change no minimum, and whose repeated index is dropped from the
     candidates.  A cloud of at most one leaf is a single bucket in its
@@ -516,20 +520,9 @@ class _CloudIndex:
             self._scratch = (np.empty((k, width, d)), np.empty((k, width)))
         block, dists = (buf[:k] for buf in self._scratch)
         self.points.take(leaves, axis=0, out=block)
-        if d <= 2:
-            # Two squares have one sum in either order, so adding the
-            # columns is `_dists`'s sum, some 5x faster on rows this short.
-            np.subtract(block[..., 0], queries[:, :1], out=dists)
-            dists *= dists
-            if d == 2:
-                part = block[..., 1]
-                part -= queries[:, 1:]
-                part *= part
-                dists += part
-        else:
-            block -= queries[:, None]
-            block *= block
-            block.reshape(-1, d).sum(axis=1, out=dists.reshape(-1))
+        block -= queries[:, None]
+        block *= block
+        block.reshape(-1, d).sum(axis=1, out=dists.reshape(-1))
         np.sqrt(dists, out=dists)
         best = dists.argmin(axis=1)
         dmin = dists[np.arange(k), best]
@@ -554,10 +547,6 @@ class _CloudIndex:
         bound = np.sqrt(gap.sum(axis=0))
         bound *= _BOUND_SLACK
         return bound
-
-    def leaves_within(self, lo: np.ndarray, hi: np.ndarray, reach: float) -> np.ndarray:
-        """Every leaf whose box may hold a point within `reach` of the box [lo, hi]."""
-        return np.flatnonzero(self.bounds(lo, hi) <= reach)
 
 
 @dataclass(eq=False)

@@ -170,25 +170,33 @@ def _diameter(points: np.ndarray) -> float:
 #: The most MAP pairs one speculative batch predicts.
 _BATCH_MAX = 64
 
+#: How many `_step` answers in a row must repeat a walk's stride before a
+#: batch is tried again after a miss.
+_HOLD = 4
+
 
 class _Walk:
     """What a batch predicts of one set's answers: the set's one point
     cloud, the cloud index of its last answer, and the index stride from
-    the answer before it (None until both are cloud points)."""
+    the answer before it (None until both are cloud points).  `held`
+    counts the answers in a row that repeated that stride."""
 
     def __init__(self, cloud: euclid.PointCloud):
         self.cloud = cloud
         self.last: Optional[int] = None
         self.stride: Optional[int] = None
+        self.held = 0
 
     def learn(self, p: np.ndarray) -> None:
         """Take `p`, just returned by `_step`, as the last answer."""
         i = self.cloud._last_index(p)
         if i < 0:
             self.last = self.stride = None
+            self.held = 0
         else:
-            self.stride = None if self.last is None else i - self.last
-            self.last = i
+            stride = None if self.last is None else i - self.last
+            self.held = self.held + 1 if stride is not None and stride == self.stride else 0
+            self.last, self.stride = i, stride
 
     def room(self, k: int) -> int:
         """How many of the next `k` predictions lie inside the cloud."""
@@ -222,8 +230,12 @@ def _pairs(config: MapConfig, events: list, counts: list):
     B-queries (the predicted a's) in one batch per set.  A confirmed answer
     is single-valued and bitwise the prediction, so the pairs up to the
     first unconfirmed one are the sequential pairs; that one goes through
-    `_step`.  k doubles after a full batch, up to `_BATCH_MAX`, and drops
-    to 1 after a miss.  `counts` tallies the batches and the pairs they gave.
+    `_step`.  k doubles after a full batch, up to `_BATCH_MAX`.  After a
+    miss, batches wait until a `_step` answer of each set repeats its last
+    stride, then start again at k = 1: a walk whose stride keeps changing
+    would otherwise pay a failed batch, and its scalar fallback on the very
+    query `_step` then projects, for every pair.  `counts` tallies the
+    batches and the pairs they gave.
     """
     set_a, set_b, tol = config.set_a, config.set_b, config.tie_tol
     walk_a = _walk(set_a)
@@ -231,9 +243,11 @@ def _pairs(config: MapConfig, events: list, counts: list):
     speculate = walk_b is not None
     b = config.start
     n = 0
-    size = 1
+    size = 1 if speculate else 0
     while True:
-        k = min(walk_a.room(size), walk_b.room(size), config.max_iter - n) if speculate else 0
+        if size == 0 and speculate and min(walk_a.held, walk_b.held) >= _HOLD:
+            size = 1
+        k = min(walk_a.room(size), walk_b.room(size), config.max_iter - n) if size else 0
         if k > 0:
             steps = np.arange(1, k + 1)
             ia = walk_a.last + walk_a.stride * steps
@@ -252,7 +266,7 @@ def _pairs(config: MapConfig, events: list, counts: list):
             if m == k:
                 size = min(2 * size, _BATCH_MAX)
                 continue
-            size = 1
+            size = 0
         a = _step(set_a, b, "A", n, config, events)
         if speculate:
             walk_a.learn(a)

@@ -169,7 +169,8 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
         qids = ids[ids < queries]
         if not qids.size:
             continue
-        near = index.leaves_within(index.lo[:, leaf], index.hi[:, leaf], reach[qids].max())
+        bound = index.bounds(index.lo[:, leaf], index.hi[:, leaf])
+        near = np.flatnonzero(bound <= reach[qids].max())
         cids = np.sort(index.ids[near], axis=None)
         cids = cids[np.concatenate(([True], cids[1:] != cids[:-1]))]  # drop the top-up repeats
         cand = pts[cids]

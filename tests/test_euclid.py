@@ -611,7 +611,7 @@ def test_leaf_bound_of_a_query_equals_the_clip_form(dim, n, seed, layout, scale)
         bound = clip_leaf_bound(index, q)
         leaf_min = float(np.sqrt(((index.points[leaf] - q) ** 2).sum(axis=1)).min())
         for reach in (0.0, leaf_min, *bound[:8].tolist()):
-            np.testing.assert_array_equal(index.leaves_within(q, q, reach),
+            np.testing.assert_array_equal(np.flatnonzero(index.bounds(q, q) <= reach),
                                           np.flatnonzero(bound <= reach))
 
 
@@ -651,14 +651,16 @@ def test_face_test_holds_where_squares_are_subnormal():
 
 def test_distance_is_the_nearest_distance():
     # `_distance` answers a union's speculative batch in place of `_nearest`;
-    # the two must agree bit for bit, also inside a ball and at a center
+    # the two must agree bit for bit, also inside a ball, on its boundary
+    # and at a center
     rng = np.random.default_rng(2718)
     for _ in range(500):
         dim = int(rng.integers(1, 5))
         spec = _random_primitive(rng, dim)
         queries = [rng.normal(size=dim) * 3.0]
         if isinstance(spec, (Sphere, Ball)):
-            queries += [spec.center.copy(), spec.center + 0.1 * rng.normal(size=dim)]
+            queries += [spec.center.copy(), spec.center + 0.1 * rng.normal(size=dim),
+                        spec.center + np.eye(dim)[0] * spec.radius]
         for q in queries:
             assert spec._distance(q, 1e-9) == spec._nearest(q, 1e-9).distance
 

@@ -218,6 +218,18 @@ def test_sphere_center_query_inside_a_batch(radius, caplog):
         assert isinstance(got[0], str)
 
 
+def test_mispredicted_walks_batch_rarely(report_10k, caplog):
+    # Random neighbour swaps in storage order give strides +1, +2 and -1,
+    # so most predictions miss.  After a miss a batch waits for steady
+    # strides; a batch before every pair would double the projection work.
+    rng = np.random.default_rng(5)
+    pts = report_10k.points[:4001]
+    a, b = (PointCloud(_arrange(p, "swaps", rng)) for p in (pts[0::2], pts[1::2]))
+    config = MapConfig(a, b, pts[0], max_iter=1999, stop_step=0.0)
+    _, (batches, speculated, stepped) = _check(config, caplog)
+    assert speculated + stepped == 1999 and batches <= 100
+
+
 def test_corollary_run_projects_in_batches(monkeypatch):
     # 5 000 pairs took 10 000 `project` calls one step at a time; the
     # batches leave at most 1 % of them.  Convex sets keep 2 per iteration.
