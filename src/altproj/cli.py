@@ -48,7 +48,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = sequence.generate(args.horizon)
-    results = run_verification(report, args.nearest_horizon or None)
+    results = run_verification(report, args.nearest_horizon)
     failed = False
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity and nearest-point checks")
     p.add_argument("--horizon", type=_int_at_least(2), required=True,
                    help="number of iterates (>= 2)")
-    p.add_argument("--nearest-horizon", type=_int_at_least(0), default=0,
+    p.add_argument("--nearest-horizon", type=_int_at_least(0), default=None,
                    help="check the nearest-point property only up to this iterate; "
                         "a larger value is clamped to horizon - 1 (default: every iterate)")
     p.set_defaults(func=_cmd_verify)

@@ -16,8 +16,9 @@ When the ball of that radius plus `tie_tol` lies inside the leaf's k-d cell
 (the ball-within-bounds test of Friedman, Bentley and Finkel, ACM TOMS
 1977), that leaf alone answers; otherwise one batch visits every leaf whose
 box lies within that radius, the smaller of the remembered leaf's minimum
-and that of the leaf nearest the query.  Either way the index returns
-exactly the distance and candidates a full scan would.  For the MAP
+and that of the leaf nearest the query.  Every distance to a cloud point
+is the root of `_sq_dists`, the one sum of squared coordinate differences,
+so either way the index returns exactly what a full scan would.  For the MAP
 driver's speculative batches, `_confirm` checks many predicted answers at
 once: `_CloudIndex.search_many` runs the same distances and cell test
 vectorised over the queries, each on its predicted point's leaf, and any
@@ -28,9 +29,8 @@ sphere, where the minimizer set is the whole sphere: that raises
 
 Every query is a pure function of its inputs.  A point cloud memoises two
 things, its index (built on the first query, with the leaf of each point
-and the batch buffers added on the first batch) and its last nearest
-point; neither changes any result, and the set itself is immutable after
-construction.
+added on the first batch) and its last nearest point; neither changes any
+result, and the set itself is immutable after construction.
 """
 
 from __future__ import annotations
@@ -357,9 +357,26 @@ class Segment(ProjectorSpec):
         return ProjectionResult(_norm(q - cand), [cand])
 
 
+def _sq_dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances from `q` to each point of `points`; coordinates lie
+    along the last axis, and the two arrays broadcast.
+
+    The squares are added in axis order, so adding one never lowers a sum.
+    Below eight axes that is `((points - q) ** 2).sum(axis=-1)`, bit for
+    bit: numpy adds fewer than eight terms in order.
+    """
+    diff = points[..., 0] - q[..., 0]
+    acc = diff * diff
+    for axis in range(1, points.shape[-1]):
+        diff = points[..., axis] - q[..., axis]
+        diff *= diff
+        acc += diff
+    return acc
+
+
 def _dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distances from `q` to each row of `points`, the brute-force expression."""
-    return np.sqrt(((points - q) ** 2).sum(axis=1))
+    """Distances from `q` to each point of `points`, the brute-force expression."""
+    return np.sqrt(_sq_dists(points, q))
 
 
 def _median_order(points: np.ndarray, ids: np.ndarray, leaves: int, width: int,
@@ -428,7 +445,6 @@ class _CloudIndex:
         self.lo = np.ascontiguousarray(self.points.min(axis=1).T)
         self.hi = np.ascontiguousarray(self.points.max(axis=1).T)
         self._slot = 0  # slot of the last nearest point; any slot will do
-        self._scratch = None  # `search_many`'s buffers
 
     @cached_property
     def leaf_of(self) -> np.ndarray:
@@ -500,30 +516,19 @@ class _CloudIndex:
         `expect[j]` as its one nearest point, decided from that point's leaf.
 
         Returns `(hit, dmin, slot)`.  Every row's distances to the points of
-        its expected point's leaf are `_dists`'s, computed for all k rows in
-        one `(k * width, d)` pass, with the leaf's minimum `dmin[j]` at slot
+        its expected point's leaf come from one `_dists` call on the gathered
+        `(k, width, d)` block, with the leaf's minimum `dmin[j]` at slot
         `slot[j]`.  `hit[j]` holds when that leaf passes `search`'s cell
         test for row j, exactly one of its slots lies within `tie_tol` of
         the minimum, and that slot holds `expect[j]`; `search` then returns
         `dmin[j]` and `[expect[j]]`, bit for bit.  A row that does not hit
         is undecided, not refuted: `search` answers it.  The remembered slot
         is left alone.
-
-        The block and its distances are written into two buffers that the
-        index keeps and grows to the largest k asked for, so batch after
-        batch allocates no temporary of their size.
         """
-        k, d = queries.shape
+        k = len(queries)
         width = self.ids.shape[1]
         leaves = self.leaf_of[expect]
-        if self._scratch is None or len(self._scratch[1]) < k:
-            self._scratch = (np.empty((k, width, d)), np.empty((k, width)))
-        block, dists = (buf[:k] for buf in self._scratch)
-        self.points.take(leaves, axis=0, out=block)
-        block -= queries[:, None]
-        block *= block
-        block.reshape(-1, d).sum(axis=1, out=dists.reshape(-1))
-        np.sqrt(dists, out=dists)
+        dists = _dists(self.points.take(leaves, axis=0), queries[:, None])
         best = dists.argmin(axis=1)
         dmin = dists[np.arange(k), best]
         limit = dmin + tie_tol

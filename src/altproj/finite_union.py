@@ -190,9 +190,9 @@ def _line_template(limit: str) -> str:
 _JSON_BOOL = ("false", "true")
 
 
-def run_batch(seeds, dim: int = 2, members_per_side: int = 3,
-              tol: float = DEFAULT_TOL, stream=None) -> dict:
-    """Run scenarios for every seed (in order), optionally writing JSON lines.
+def run_batch(seeds, stream, dim: int = 2, members_per_side: int = 3,
+              tol: float = DEFAULT_TOL) -> dict:
+    """Run scenarios for every seed (in order), writing JSON lines to `stream`.
 
     Each line is one object: seed, outcome, converged, limit (null without
     one), limit_in_intersection, gaps_vanished, bounded and iterations_used,
@@ -209,11 +209,10 @@ def run_batch(seeds, dim: int = 2, members_per_side: int = 3,
         verdict = check_theorem(generate_scenario(seed, dim, members_per_side), tol)
         outcome = classify(verdict)
         counts[outcome] += 1
-        if stream is not None:
-            limit = verdict.limit
-            template, coords = (no_limit, ()) if limit is None else (with_limit, limit.tolist())
-            stream.write(template % (seed, outcome, _JSON_BOOL[verdict.converged], *coords,
-                                     _JSON_BOOL[verdict.limit_in_intersection],
-                                     _JSON_BOOL[verdict.gaps_vanished],
-                                     _JSON_BOOL[verdict.bounded], verdict.iterations_used))
+        limit = verdict.limit
+        template, coords = (no_limit, ()) if limit is None else (with_limit, limit.tolist())
+        stream.write(template % (seed, outcome, _JSON_BOOL[verdict.converged], *coords,
+                                 _JSON_BOOL[verdict.limit_in_intersection],
+                                 _JSON_BOOL[verdict.gaps_vanished],
+                                 _JSON_BOOL[verdict.bounded], verdict.iterations_used))
     return counts

@@ -164,7 +164,7 @@ def _step(spec: ProjectorSpec, point: np.ndarray, which: str, iteration: int,
 
 def _diameter(points: np.ndarray) -> float:
     """Largest distance between two rows of `points`, an `(n, d)` array."""
-    return math.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2).max())
+    return math.sqrt(euclid._sq_dists(points[:, None], points[None]).max())
 
 
 #: The most MAP pairs one speculative batch predicts.

@@ -45,8 +45,8 @@ _JSON_ROW = ('{\n  "n": %d,\n  "alpha": %.17g,\n  "delta": %.17g,\n  "rho": %.17
 _JSON_LAST_ROW = ('{\n  "n": %d,\n  "alpha": %.17g,\n  "delta": null,\n  "rho": %.17g,\n'
                   '  "eps": %.17g,\n  "x": [%.17g, %.17g],\n  "q": null\n}')
 
-#: Floats in each of the two distance buffers of `verify_nearest`.
-_SCRATCH = 1 << 15
+#: About how many distances `verify_nearest` computes in one block.
+_BLOCK = 1 << 15
 
 
 class NearestPropertyViolated(RuntimeError):
@@ -141,9 +141,11 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     of queries at a time.  Query n's reach, the larger of its distances to
     x_{n+1} and x_{n+2}, is at least its runner-up distance, so the leaves
     within the largest reach of a query leaf hold each query's winner, all
-    of its ties and its runner-up.  Distances use the full scan's expression,
-    `((x - x_n) ** 2).sum()`, so the verdict and the margin equal those of a
-    scan over every point, bit for bit.
+    of its ties and its runner-up.  A block of queries, at least one, is
+    measured against a leaf's candidates about `_BLOCK` distances at a time.
+    Every squared distance is `euclid._sq_dists`, in any dimension, so the
+    verdict and the margin equal those of a scan over every point, bit for
+    bit.
     """
     if not (0 <= horizon <= len(report) - 1):
         raise ValueError(f"horizon must be in [0, {len(report) - 1}], got {horizon}")
@@ -156,13 +158,9 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     queries = horizon - 1
     if queries < 1:
         return math.inf
-    reach = np.sqrt(np.maximum(((pts[1:horizon] - pts[:queries]) ** 2).sum(axis=1),
-                               ((pts[2:] - pts[:queries]) ** 2).sum(axis=1)))
+    reach = np.sqrt(np.maximum(euclid._sq_dists(pts[1:horizon], pts[:queries]),
+                               euclid._sq_dists(pts[2:], pts[:queries])))
     index = euclid._CloudIndex(pts)
-    # Blocks are written into two fixed buffers, always wide enough for one
-    # full row, so no per-leaf temporary grows with the block.
-    size = max(_SCRATCH, horizon + 1)
-    acc, tmp = np.empty(size), np.empty(size)
     found = np.empty(queries, dtype=np.intp)
     margins = np.empty(queries)
     for leaf, ids in enumerate(index.ids):
@@ -174,19 +172,11 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
         cids = np.sort(index.ids[near], axis=None)
         cids = cids[np.concatenate(([True], cids[1:] != cids[:-1]))]  # drop the top-up repeats
         cand = pts[cids]
-        k = cids.size
-        rows = size // k
+        rows = max(1, _BLOCK // cids.size)
         for start in range(0, qids.size, rows):
             q = qids[start:start + rows]
-            m = q.size
-            block = acc[:m * k].reshape(m, k)
-            part = tmp[:m * k].reshape(m, k)
-            np.subtract(cand[:, 0], pts[q, :1], out=block)
-            block *= block
-            np.subtract(cand[:, 1], pts[q, 1:], out=part)
-            part *= part
-            block += part  # dx^2 + dy^2: the scan's sum over the two columns
-            block[np.arange(m), np.searchsorted(cids, q)] = math.inf
+            block = euclid._sq_dists(cand, pts[q, None])
+            block[np.arange(q.size), np.searchsorted(cids, q)] = math.inf
             found[q] = cids[block.argmin(axis=1)]
             block.partition(1, axis=1)
             margins[q] = np.minimum(np.sqrt(block[:, 1]), sphere_d[q]) - np.sqrt(block[:, 0])

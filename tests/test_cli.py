@@ -98,6 +98,17 @@ def test_verify_checks_every_iterate_by_default(capsys):
     assert nearest[0].endswith(" at horizon 2999")
 
 
+@pytest.mark.parametrize("nearest_horizon", [0, 1])
+def test_verify_takes_an_explicit_nearest_horizon_as_given(capsys, nearest_horizon):
+    # an explicit 0 checks no iterate; it is not the default's "every iterate"
+    argv = ["verify", "--horizon", "3000", "--nearest-horizon", str(nearest_horizon)]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    nearest = [line for line in lines if line.startswith("PASS nearest-point: ")]
+    assert len(nearest) == 1
+    assert nearest[0].endswith(f" at horizon {nearest_horizon}")
+
+
 def test_verify_degenerate_horizon(capsys):
     assert main(["verify", "--horizon", "2"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altproj import euclid, sequence
+from altproj import counterexample, euclid, map_driver, sequence
 from altproj.euclid import (
     LEAF_SIZE,
     Ball,
@@ -710,3 +710,76 @@ def test_incoherent_queries_visit_few_leaves(report_100k, monkeypatch):
     for q in queries:
         cloud.project(q, 1e-11)
     assert rows <= len(queries) * 4 * LEAF_SIZE
+
+
+#: The broadcast shapes `_sq_dists` is called with: a leaf against one query
+#: (`search`, `_dists`), a gathered batch block against its queries
+#: (`search_many`), every pair of a tail (`map_driver._diameter`), and
+#: candidates against a block of queries (`sequence.verify_nearest`).
+_SQ_SHAPES = {
+    "rows": lambda d: ((9, d), (d,)),
+    "batch": lambda d: ((5, 7, d), (5, 1, d)),
+    "pairs": lambda d: ((6, 1, d), (1, 6, d)),
+    "blocks": lambda d: ((8, d), (3, 1, d)),
+}
+
+
+def _in_order_sq(p, q):
+    """The squared coordinate differences added in axis order, in Python floats."""
+    p, q = np.broadcast_arrays(p, q)
+    out = []
+    for x, y in zip(p.reshape(-1, p.shape[-1]).tolist(), q.reshape(-1, q.shape[-1]).tolist()):
+        acc = (x[0] - y[0]) * (x[0] - y[0])
+        for a, b in zip(x[1:], y[1:]):
+            acc += (a - b) * (a - b)
+        out.append(acc)
+    return np.array(out).reshape(p.shape[:-1])
+
+
+@given(d=st.integers(1, 12), shape=st.sampled_from(sorted(_SQ_SHAPES)),
+       seed=st.integers(0, 2**32 - 1), exponent=st.integers(-160, 153))
+@settings(max_examples=300, deadline=None)
+def test_sq_dists_is_the_in_order_sum(d, shape, seed, exponent):
+    # Below eight axes numpy's `.sum` adds in order too, so `_sq_dists` is
+    # the scan oracles' expression, bit for bit; from eight on numpy sums
+    # pairwise and `_sq_dists` keeps the axis order.
+    rng = np.random.default_rng(seed)
+    p, q = (rng.normal(size=size) * 10.0 ** exponent for size in _SQ_SHAPES[shape](d))
+    got = euclid._sq_dists(p, q)
+    want = _in_order_sq(p, q)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if d < 8:
+        assert got.tobytes() == ((p - q) ** 2).sum(axis=-1).tobytes()
+    assert euclid._dists(p, q).tobytes() == np.sqrt(want).tobytes()
+
+
+def test_every_cloud_distance_is_sq_dists(report_300, monkeypatch):
+    # Each exact distance verdict reaches `_sq_dists`, so a squared sum
+    # written inline again, a second distance path, fails here.
+    calls = []
+    sq_dists = euclid._sq_dists
+
+    def counting(points, q):
+        calls.append(points.shape)
+        return sq_dists(points, q)
+
+    monkeypatch.setattr(euclid, "_sq_dists", counting)
+
+    def reaches(run):
+        calls.clear()
+        run()
+        return bool(calls)
+
+    cloud = PointCloud(report_300.points[0::2])
+    queries = report_300.points[1:9:2]
+    assert reaches(lambda: cloud.project(queries[0], 1e-11))
+    expect = np.arange(1, 5)
+    assert reaches(lambda: cloud._index.search_many(queries, expect, 1e-11))
+    assert reaches(lambda: sequence.verify_nearest(report_300, 299))
+    sets = counterexample.build(300, report=report_300)
+    config = map_driver.MapConfig(sets.set_a, sets.set_b, report_300.points[0],
+                                  max_iter=149, stop_step=1e-4)
+    calls.clear()
+    assert map_driver.run(config).verdict.kind == map_driver.VERDICT_CONTINUUM
+    assert (map_driver.CONTINUUM_TAIL, 1, 2) in calls  # `_diameter` of the tail

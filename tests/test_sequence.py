@@ -190,6 +190,25 @@ def test_verify_nearest_detects_corruption(report_300):
     assert info.value.found == 50
 
 
+def _with_zero_axis(report, pts):
+    return SequenceReport(report.alphas.copy(), report.rhos.copy(), report.epss.copy(),
+                          np.column_stack([pts, np.zeros(len(pts))]))
+
+
+def test_verify_nearest_works_in_any_dimension(report_300):
+    # a zero third coordinate adds +0.0 to every squared distance, so the
+    # verdict and the margin are the planar report's, bit for bit
+    lifted = _with_zero_axis(report_300, report_300.points)
+    assert verify_nearest(lifted, 299) == verify_nearest(report_300, 299)
+    pts = report_300.points.copy()
+    pts[[5, 50]] = pts[[50, 5]]
+    corrupt = SequenceReport(report_300.alphas.copy(), report_300.rhos.copy(),
+                             report_300.epss.copy(), pts)
+    want = _nearest_outcome(verify_nearest, corrupt, 299)
+    assert want == (4, 50)
+    assert _nearest_outcome(verify_nearest, _with_zero_axis(report_300, pts), 299) == want
+
+
 @pytest.mark.parametrize("horizon", [2, 3, 10, 63, 64, 65, 129, 299, 2000, 9999])
 def test_verify_nearest_equals_scan(report_10k, horizon):
     # the sizes straddle the 64-point leaf edges of the index
