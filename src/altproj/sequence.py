@@ -8,7 +8,9 @@ half-angle chord identity, telescoping of the angle increments, strict
 monotonicity, and the nearest-point property (each iterate's closest
 neighbour among all others is its successor, with the unit sphere strictly
 farther).  `run_verification` runs every check and reports each as a named
-pass/fail result.
+pass/fail result.  Every check reads every coordinate of a point, so a report
+of any dimension is checked whole; lengths are the iterated `np.hypot` of
+the coordinates, which in the plane is `np.hypot(x, y)`, bit for bit.
 """
 
 from __future__ import annotations
@@ -90,16 +92,11 @@ def generate(n_max: int) -> SequenceReport:
 
 
 def check_step_identity(report: SequenceReport) -> float:
-    """Max |chord - eps| over the steps: each chord |x_{n+1} - x_n| must
-    equal the step size eps_n.  Computed `spiral.CHUNK` steps at a time, so
-    no full-length temporary is built."""
-    pts, epss = report.points, report.epss
-    worst = 0.0
-    for start in range(0, len(report) - 1, spiral.CHUNK):
-        p = pts[start:start + spiral.CHUNK + 1]
-        chords = np.hypot(p[1:, 0] - p[:-1, 0], p[1:, 1] - p[:-1, 1])
-        worst = max(worst, float(np.abs(chords - epss[start:start + chords.size]).max()))
-    return worst
+    """Max |chord - eps| over the steps (0.0 for a single record): each chord
+    |x_{n+1} - x_n|, the iterated `np.hypot` of every coordinate difference,
+    must equal the step size eps_n."""
+    chords = np.hypot.reduce(np.diff(report.points, axis=0), axis=1)
+    return float(np.abs(chords - report.epss[:-1]).max(initial=0.0))
 
 
 class HalfAngleResiduals(NamedTuple):
@@ -134,8 +131,11 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     smallest winning margin observed: min over n of
     (min(runner-up distance, sphere distance) - winning distance).
 
-    Raises NearestPropertyViolated for the smallest index whose nearest
-    neighbour (the lowest index among ties) is not its successor.
+    Raises ValueError for a horizon out of range, and, naming it, for the
+    first iterate n <= horizon where the unit sphere is not strictly farther
+    than the successor.  Raises NearestPropertyViolated for the smallest
+    index whose nearest neighbour (the lowest index among ties) is not its
+    successor.
 
     The points are indexed once by `euclid._CloudIndex` and checked one leaf
     of queries at a time.  Query n's reach, the larger of its distances to
@@ -153,8 +153,10 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     alphas = report.alphas[:horizon + 1]
     epss = report.epss[:horizon + 1]
     sphere_d = np.exp(-alphas)
-    if not np.all(sphere_d > epss):
-        raise ValueError("unit sphere is not strictly farther than the successor somewhere")
+    nearer = np.flatnonzero(~(sphere_d > epss))
+    if nearer.size:
+        raise ValueError("unit sphere is not strictly farther than the successor "
+                         f"at iterate {nearer[0]}")
     queries = horizon - 1
     if queries < 1:
         return math.inf
@@ -208,7 +210,8 @@ def run_verification(report: SequenceReport,
     The nearest-point check covers iterates up to `nearest_horizon`, clamped
     to the last one (None: every iterate).  A failed check never stops the
     others: a unit sphere that is not strictly farther than the successor
-    fails both `sphere-never-nearer` and `nearest-point`.
+    fails `sphere-never-nearer`, and within that horizon `nearest-point` too,
+    with the ValueError of `verify_nearest`.
     """
     results: list[CheckResult] = []
 
@@ -221,9 +224,10 @@ def run_verification(report: SequenceReport,
     deltas = report.deltas
 
     eps0_closed = (1.0 - math.exp(-2.0 * math.pi)) / 2.0
+    x0 = pts[0]
     check("initialization",
-          pts[0, 0] == 2.0 and pts[0, 1] == 0.0 and abs(epss[0] - eps0_closed) <= 1e-15,
-          f"x0=({fmt17(pts[0, 0])}, {fmt17(pts[0, 1])}), eps0 residual "
+          x0[0] == 2.0 and not x0[1:].any() and abs(epss[0] - eps0_closed) <= 1e-15,
+          f"x0=({', '.join(map(fmt17, x0))}), eps0 residual "
           f"{abs(epss[0] - eps0_closed):.3e}")
 
     chord = check_step_identity(report)
@@ -249,27 +253,21 @@ def run_verification(report: SequenceReport,
         check("eps-strictly-decreasing", True, "single record")
 
     sphere_d = np.exp(-alphas)
-    gaps = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
+    gaps = np.abs(np.hypot.reduce(pts, axis=1) - 1.0)
     gap_resid = float(np.abs(gaps - sphere_d).max())
     check("sphere-gap", gap_resid <= 1e-12, f"max residual {gap_resid:.3e}")
 
     sphere_margins = sphere_d - epss
-    nearer = np.flatnonzero(~(sphere_margins > 0.0))
-    check("sphere-never-nearer", not nearer.size, f"min margin {sphere_margins.min():.3e}")
+    check("sphere-never-nearer", np.all(sphere_margins > 0.0),
+          f"min margin {sphere_margins.min():.3e}")
 
     last = len(report) - 1
     horizon = last if nearest_horizon is None else min(nearest_horizon, last)
-    if nearer.size and nearer[0] <= horizon:
-        # verify_nearest presumes the sphere is farther: report, do not raise
-        check("nearest-point", False, "unit sphere is not strictly farther than the "
-                                      f"successor at iterate {nearer[0]}")
-    else:
-        try:
-            margin = verify_nearest(report, horizon)
-            check("nearest-point", margin > 0.0,
-                  f"min margin {margin:.3e} at horizon {horizon}")
-        except NearestPropertyViolated as exc:
-            check("nearest-point", False, str(exc))
+    try:
+        margin = verify_nearest(report, horizon)
+        check("nearest-point", margin > 0.0, f"min margin {margin:.3e} at horizon {horizon}")
+    except (NearestPropertyViolated, ValueError) as exc:
+        check("nearest-point", False, str(exc))
     return results
 
 

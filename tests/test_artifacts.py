@@ -95,3 +95,10 @@ def test_artifact_digest(tmp_path, config, argv, digest):
         argv = [*argv, "--config", str(tmp_path / "config.json"), "--trace-out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_stdout_digest(capsys):
+    assert cli.main(["verify", "--horizon", "2000"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "930723eda5bf4c1d93194ff017ff2018e870db37f8c773b3fdc4d954e0e46a7c")

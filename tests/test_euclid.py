@@ -637,7 +637,7 @@ def test_face_test_holds_where_squares_are_subnormal():
     # One leaf holds -b, the other b, both at the computed distance
     # sqrt(b * b) from the origin, which is below b once b * b is
     # subnormal.  A face test on the bare gap b would answer from the
-    # first leaf alone and lose the tie.
+    # first leaf alone and lose the tie, in `search` and in `search_many`.
     b = 1e-160
     assert math.sqrt(b * b) < b * (1.0 - 8.0 * np.finfo(np.float64).eps)
     far = np.linspace(1.0, 2.0, LEAF_SIZE - 1)
@@ -647,6 +647,9 @@ def test_face_test_holds_where_squares_are_subnormal():
     res = cloud.project(q, 1e-300)
     _assert_matches_oracle(res, _oracle([cloud], q, 1e-300))
     assert res.multivalued
+    # the batch cell test must not answer from the first leaf either
+    hit = cloud._index.search_many(q[None], np.array([LEAF_SIZE - 1]), 1e-300)[0]
+    assert not hit[0]
 
 
 def test_distance_is_the_nearest_distance():

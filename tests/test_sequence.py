@@ -21,6 +21,7 @@ from altproj.sequence import (
     check_halfangle_identity,
     check_step_identity,
     generate,
+    run_verification,
     verify_nearest,
     write_csv,
     write_json,
@@ -86,8 +87,8 @@ def test_chord_equals_eps(report_10k):
                                     (2 * spiral.CHUNK + 2, spiral.CHUNK),
                                     (2 * spiral.CHUNK + 2, 2 * spiral.CHUNK)])
 def test_step_identity_sees_every_step(report_10k, n, bad):
-    # the residual is taken a slice at a time; a wrong step size must show
-    # wherever the slices are cut, and the value is the full-length max
+    # a wrong step size must show wherever it lies, also next to the ends and
+    # to the `spiral.CHUNK` edges, and the value is the max over every step
     epss = report_10k.epss[:n].copy()
     epss[bad] += 1e-6
     pts = report_10k.points[:n].copy()
@@ -207,6 +208,35 @@ def test_verify_nearest_works_in_any_dimension(report_300):
     want = _nearest_outcome(verify_nearest, corrupt, 299)
     assert want == (4, 50)
     assert _nearest_outcome(verify_nearest, _with_zero_axis(report_300, pts), 299) == want
+
+
+def test_verify_nearest_owns_the_sphere_rule(report_300):
+    epss = report_300.epss.copy()
+    epss[100] = 1.0  # the unit sphere is nearer than this step size
+    bad = SequenceReport(report_300.alphas.copy(), report_300.rhos.copy(), epss,
+                         report_300.points.copy())
+    with pytest.raises(ValueError, match=r"^unit sphere is not strictly farther than "
+                                         r"the successor at iterate 100$"):
+        verify_nearest(bad, 299)
+    assert verify_nearest(bad, 50) == verify_nearest(report_300, 50)
+
+
+def test_verification_reads_every_coordinate(report_300):
+    # a zero third coordinate reads as the plane; an error in it must show
+    lifted = _with_zero_axis(report_300, report_300.points)
+    planar = run_verification(report_300)
+    deep = run_verification(lifted)
+    assert [r.name for r in deep] == [r.name for r in planar]
+    for flat, got in zip(planar, deep):
+        if flat.name == "initialization":
+            assert got == flat._replace(detail=flat.detail.replace("x0=(2, 0)", "x0=(2, 0, 0)"))
+        else:
+            assert got == flat
+    pts = lifted.points.copy()
+    pts[7, 2] += 0.5
+    off_plane = SequenceReport(lifted.alphas, lifted.rhos, lifted.epss, pts)
+    failed = {r.name for r in run_verification(off_plane) if not r.passed}
+    assert {"step-identity", "sphere-gap"} <= failed
 
 
 @pytest.mark.parametrize("horizon", [2, 3, 10, 63, 64, 65, 129, 299, 2000, 9999])
