@@ -155,9 +155,17 @@ def _as_cloud(points) -> np.ndarray:
     return _coords(points, 2, "point cloud")
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """The products of two 1-D vectors added in axis order, without BLAS."""
+    acc = 0.0
+    for x, y in zip(u.tolist(), v.tolist()):
+        acc += x * y
+    return acc
+
+
 def _norm(v: np.ndarray) -> float:
-    # what np.linalg.norm computes for a real 1-D vector, without its overhead
-    return math.sqrt(v.dot(v))
+    # `_sq_dists`'s in-order sum: `_norm(p - q)` is `_dists(p[None], q)[0]`, bit for bit
+    return math.sqrt(_dot(v, v))
 
 
 def _radial_point(center: np.ndarray, radius: float, diff: np.ndarray, d: float) -> np.ndarray:
@@ -325,7 +333,7 @@ class Halfspace(ProjectorSpec):
         self.dim = self.normal.size
 
     def _nearest(self, q, tie_tol):
-        s = float(np.dot(self.normal, q)) - self.offset
+        s = _dot(self.normal, q) - self.offset
         if s <= 0.0:
             return ProjectionResult(0.0, [q.copy()])
         return ProjectionResult(s, [q - s * self.normal])
@@ -345,10 +353,10 @@ class Segment(ProjectorSpec):
 
     def _closest(self, q):
         ab = self.b - self.a
-        den = float(np.dot(ab, ab))
+        den = _dot(ab, ab)
         if den == 0.0:
             return self.a.copy()
-        t = float(np.dot(q - self.a, ab)) / den
+        t = _dot(q - self.a, ab) / den
         t = min(1.0, max(0.0, t))
         return self.a + t * ab
 

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import map_driver
-from .euclid import DEFAULT_TIE_TOL, Ball, Box, Halfspace, PointCloud, ProjectorSpec, Union, _norm
+from .euclid import (DEFAULT_TIE_TOL, Ball, Box, Halfspace, PointCloud, ProjectorSpec, Union,
+                     _dot, _norm)
 from .map_driver import VERDICT_CONVERGED, MapConfig
 
 #: Default convergence / membership tolerance.
@@ -85,7 +86,7 @@ def _random_member(rng: np.random.Generator, c: np.ndarray) -> ProjectorSpec:
     normal = rng.normal(size=dim)
     normal /= _norm(normal)
     slack = float(rng.uniform(0.05, 1.0))
-    return Halfspace(normal, float(np.dot(normal, c)) + slack)
+    return Halfspace(normal, _dot(normal, c) + slack)
 
 
 def generate_scenario(seed: int, dim: int = 2, members_per_side: int = 3) -> UnionScenario:

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import euclid, spiral
-from .serialize import fmt17
 
 __all__ = [
     "CheckResult",
@@ -132,10 +131,10 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     (min(runner-up distance, sphere distance) - winning distance).
 
     Raises ValueError for a horizon out of range, and, naming it, for the
-    first iterate n <= horizon where the unit sphere is not strictly farther
-    than the successor.  Raises NearestPropertyViolated for the smallest
-    index whose nearest neighbour (the lowest index among ties) is not its
-    successor.
+    first iterate n <= horizon with a non-finite coordinate, else the first
+    where the unit sphere is not strictly farther than the successor.
+    Raises NearestPropertyViolated for the smallest index whose nearest
+    neighbour (the lowest index among ties) is not its successor.
 
     The points are indexed once by `euclid._CloudIndex` and checked one leaf
     of queries at a time.  Query n's reach, the larger of its distances to
@@ -152,6 +151,9 @@ def verify_nearest(report: SequenceReport, horizon: int) -> float:
     pts = report.points[:horizon + 1]
     alphas = report.alphas[:horizon + 1]
     epss = report.epss[:horizon + 1]
+    if np.count_nonzero(np.isfinite(pts)) != pts.size:  # a NaN leaf bound prunes every leaf
+        n = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+        raise ValueError(f"iterate {n} has a non-finite coordinate")
     sphere_d = np.exp(-alphas)
     nearer = np.flatnonzero(~(sphere_d > epss))
     if nearer.size:
@@ -227,7 +229,7 @@ def run_verification(report: SequenceReport,
     x0 = pts[0]
     check("initialization",
           x0[0] == 2.0 and not x0[1:].any() and abs(epss[0] - eps0_closed) <= 1e-15,
-          f"x0=({', '.join(map(fmt17, x0))}), eps0 residual "
+          f"x0=({', '.join('%.17g' % c for c in x0.tolist())}), eps0 residual "
           f"{abs(epss[0] - eps0_closed):.3e}")
 
     chord = check_step_identity(report)
@@ -247,7 +249,7 @@ def run_verification(report: SequenceReport,
               f"delta range [{deltas.min():.6f}, {deltas.max():.6f}] rad, "
               f"bound {spiral.STEP_UPPER_BOUND:.6f}")
         check("eps-strictly-decreasing", bool(np.all(np.diff(epss) < 0.0)),
-              f"eps from {fmt17(epss[0])} to {fmt17(epss[-1])}")
+              "eps from %.17g to %.17g" % (epss[0], epss[-1]))
     else:
         check("step-bracket", True, "single record")
         check("eps-strictly-decreasing", True, "single record")

@@ -2,13 +2,14 @@
 
 import json
 import math
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
 
 from altproj import euclid, sequence
-from altproj.euclid import _BOUND_SLACK, DEFAULT_TIE_TOL, DimensionMismatch, _as_cloud, as_point
+from altproj.euclid import (_BOUND_SLACK, DEFAULT_TIE_TOL, Ball, Box, DimensionMismatch, Halfspace,
+                            PointCloud, Segment, Sphere, Union, _as_cloud, as_point)
 from altproj.finite_union import ConvergenceVerdict, classify
 from altproj.map_driver import MapConfig, MapTrace, _classify, _step
 from altproj.serialize import fmt17, render_json
@@ -246,3 +247,92 @@ def run_sequential(config: MapConfig) -> MapTrace:
     ab_arr, ba_arr = np.array(step_ab), np.array(step_ba)
     verdict = _classify(a_arr, b_arr, ab_arr, ba_arr, stop, stopped)
     return MapTrace(a_arr, b_arr, ab_arr, ba_arr, events, verdict)
+
+
+class Relation(NamedTuple):
+    """An exact symmetry of the projectors and the MAP driver.
+
+    `forward` maps points, coordinates along the last axis, `inverse` maps
+    them back, and every length is multiplied by `scale`, a power of two.
+    Each relation maps every sum of squares or products in axis order
+    (`euclid._dot`, `euclid._sq_dists`) exactly: a sign flip negates both
+    factors of a term, an appended zero axis adds +0.0, a swap of the first
+    two axes swaps the first two terms, whose sum commutes, and a 2**k
+    scale multiplies each square by 4**k.  So a run of the mapped config is
+    the run mapped, bit for bit.  Three constants are absolute and do not
+    scale: `euclid._CENTER_TOL` (a query at a sphere's center),
+    `euclid._UNIT_TOL` (a halfspace normal's length, which `relate` keeps
+    at 1) and `finite_union.DEFAULT_TOL` (`check_theorem`'s tolerance,
+    which the MAP config does not read).  The exponents k in `RELATIONS`
+    are chosen so that none of them decides a tested run, and so that the
+    tested squares neither overflow nor leave the normal range.
+    """
+
+    name: str
+    forward: Callable
+    inverse: Callable
+    scale: float = 1.0
+
+
+def _flip_last(p):
+    return p * np.concatenate([np.ones(p.shape[-1] - 1), [-1.0]])
+
+
+def _swap_first_two(p):
+    return p[..., [1, 0, *range(2, p.shape[-1])]]
+
+
+def _scale(k: int) -> Relation:
+    s = math.ldexp(1.0, k)
+    return Relation(f"scale-2^{k}", lambda p: p * s, lambda p: p / s, s)
+
+
+RELATIONS = [
+    Relation("flip", _flip_last, _flip_last),
+    _scale(-20),
+    _scale(30),
+    Relation("pad", lambda p: np.concatenate([p, np.zeros((*p.shape[:-1], 1))], axis=-1),
+             lambda p: p[..., :-1]),
+    Relation("swap", _swap_first_two, _swap_first_two),
+]
+
+
+def relate_spec(spec, rel: Relation):
+    """`spec` carried through `rel`; unions map member by member."""
+    if isinstance(spec, Union):
+        return Union([relate_spec(m, rel) for m in spec.members])
+    if isinstance(spec, PointCloud):
+        return PointCloud(rel.forward(spec.points))
+    if isinstance(spec, (Sphere, Ball)):
+        return type(spec)(rel.forward(spec.center), spec.radius * rel.scale)
+    if isinstance(spec, Box):
+        lo, hi = rel.forward(spec.lo), rel.forward(spec.hi)
+        return Box(np.minimum(lo, hi), np.maximum(lo, hi))
+    if isinstance(spec, Halfspace):
+        return Halfspace(rel.forward(spec.normal) / rel.scale, spec.offset * rel.scale)
+    if isinstance(spec, Segment):
+        return Segment(rel.forward(spec.a), rel.forward(spec.b))
+    raise TypeError(f"no relation for {type(spec).__name__}")
+
+
+def relate(config: MapConfig, rel: Relation) -> MapConfig:
+    """`config` carried through `rel`: its sets, its start, and the lengths
+    `stop_step` and `tie_tol`."""
+    return MapConfig(relate_spec(config.set_a, rel), relate_spec(config.set_b, rel),
+                     rel.forward(config.start), max_iter=config.max_iter,
+                     stop_step=config.stop_step * rel.scale, tie_policy=config.tie_policy,
+                     tie_tol=config.tie_tol * rel.scale)
+
+
+def assert_related(trace: MapTrace, image: MapTrace, rel: Relation) -> None:
+    """`image`, the run of `relate(config, rel)`, is `trace` mapped by `rel`:
+    the points map back and the step norms divide by the scale, bit for bit."""
+    for got, want in ((rel.inverse(image.a), trace.a), (rel.inverse(image.b), trace.b),
+                      (image.step_ab / rel.scale, trace.step_ab),
+                      (image.step_ba / rel.scale, trace.step_ba)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), \
+            f"{rel.name}: {np.count_nonzero(got != want)} of {want.size} values differ"
+    assert image.multivalued_events == trace.multivalued_events
+    assert image.verdict.kind == trace.verdict.kind
+    assert image.verdict.iterations_used == trace.verdict.iterations_used

@@ -2,15 +2,12 @@
 
 Each case runs `cli.main` into a temporary directory and compares the
 SHA-256 digest of the artifact with a recorded value.  The digests were
-recorded with Python 3.11.7 and numpy 2.4.6: they belong to this platform's
-libm, numpy and BLAS, and another platform may round differently.  The
-projectors measure distances as `math.sqrt(v.dot(v))` (`euclid._norm`), and
-numpy's `dot` calls BLAS, whose kernel may round a sum of squares otherwise
-than adding the squares in order: here (OpenBLAS 0.3.31) it does on about
-8 % of random 2-D norms.  So the `run` and `union-batch` digests can move on
-a CPU or BLAS build that rounds differently.  A change that
-moves artifact bytes on purpose updates the digest here and says so in
-CHANGES.md.
+recorded with Python 3.11.7 and numpy 2.4.6.  No artifact byte depends on
+BLAS: every norm and inner product of the projectors adds its products in
+axis order (`euclid._dot`), and the spiral columns take their exponentials
+and sines from the C library's `math`; another libm or numpy build may
+still round differently.  A change that moves artifact bytes on purpose
+updates the digest here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -53,14 +50,14 @@ CASES = [
                  "794a0fdc3188b69afe34f57a89152aea4efc9d17bcfefba8a03637210fe4fa9b",
                  id="export-sets"),
     pytest.param(_exported(2000), ["run"],
-                 "a7a2660b55f664a50b951ec3d073474da085a32b781d343ee4172cd3ec404ea2",
+                 "571157cf4248bac330428918c9710e1d4fea46747b4e4e6e5de234e31ca3aa2b",
                  id="run-exported"),
     # the benchmark's size: 4 999 pairs on two 5 000-point clouds
     pytest.param(_exported(10000), ["run"],
-                 "adf48e00bf704e02603020388a849b21c60ae8029d27bbc902908c3527679c11",
+                 "6cfbb6bf43cfde560c6294c3e116e3b0a635c6c56159da7bde13afcf6194187c",
                  id="run-exported-10000"),
     pytest.param(None, ["union-batch", "--seeds", "200", "--dim", "3", "--members", "4"],
-                 "872517a9d1992df04f33d3bd83bf34e19485635cd51db0302e98afcba39ee991",
+                 "392c7d84713f9809f068fafe206a6b667e033156b6e992d06932ce326b2818d6",
                  id="union-batch"),
     pytest.param(None, ["gen", "--n", "2000", "--format", "json"],
                  "421a4fe6bde4cd5fcf1eb7c1a734683a6b111f0f693e60eff2fa101ff6a61d25",

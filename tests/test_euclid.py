@@ -422,13 +422,19 @@ def test_box_clamp_equals_clip_on_signed_zeros_and_bounds():
         got = box.project(q).candidates[0]
         want = np.clip(q, box.lo, box.hi)
         assert got.tobytes() == want.tobytes(), q
-        assert distance(box, q) == float(np.linalg.norm(q - want))
+        assert distance(box, q) == _oracle_dist(q, want)
+
+
+def _oracle_dist(p, q):
+    """The distance between two points, their squared differences added in
+    axis order in Python floats."""
+    return math.sqrt(float(_in_order_sq(p, q)))
 
 
 def _oracle_dedupe(points, tol):
     kept = []
     for p in points:
-        if all(float(np.linalg.norm(p - k)) > tol for k in kept):
+        if all(_oracle_dist(p, k) > tol for k in kept):
             kept.append(p)
     return kept
 
@@ -448,7 +454,7 @@ def _oracle(members, q, tol):
             hits.append((dmin, _oracle_dedupe(cands, tol)))
         else:
             diff = q - m.center
-            r = float(np.linalg.norm(diff))
+            r = _oracle_dist(q, m.center)
             dist = abs(r - m.radius)
             hits.append((dist, [m.center + (m.radius / r) * diff]))
     dmin = min(h[0] for h in hits)
@@ -755,6 +761,11 @@ def test_sq_dists_is_the_in_order_sum(d, shape, seed, exponent):
     if d < 8:
         assert got.tobytes() == ((p - q) ** 2).sum(axis=-1).tobytes()
     assert euclid._dists(p, q).tobytes() == np.sqrt(want).tobytes()
+    # the scalar forms add in the same order: `_norm` of a row's difference
+    # is its batch distance, and `_dot` is `np.cumsum`'s strictly in-order sum
+    u, v = (a.reshape(-1, d)[0] for a in np.broadcast_arrays(p, q))
+    assert euclid._norm(u - v) == np.sqrt(want.flat[0])
+    assert euclid._dot(u, v) == np.cumsum(u * v)[-1]
 
 
 def test_every_cloud_distance_is_sq_dists(report_300, monkeypatch):

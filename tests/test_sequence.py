@@ -239,6 +239,28 @@ def test_verification_reads_every_coordinate(report_300):
     assert {"step-identity", "sphere-gap"} <= failed
 
 
+@pytest.mark.parametrize("n, bad", [(0, math.nan), (7, math.nan), (299, math.nan), (5, math.inf)])
+def test_a_non_finite_iterate_fails_the_checks(report_300, n, bad):
+    # every check still reports: x0 is printed as `%.17g` prints it, and
+    # `verify_nearest` names the iterate before a NaN bound can prune a leaf
+    pts = report_300.points.copy()
+    pts[n, 1] = bad
+    broken = SequenceReport(report_300.alphas.copy(), report_300.rhos.copy(),
+                            report_300.epss.copy(), pts)
+    message = f"iterate {n} has a non-finite coordinate"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_nearest(broken, 299)
+    if n:
+        assert verify_nearest(broken, n - 1) == verify_nearest(report_300, n - 1)
+    results = {r.name: r for r in run_verification(broken)}
+    assert len(results) == len(run_verification(report_300))
+    assert results["nearest-point"] == ("nearest-point", False, message)
+    failed = {name for name, r in results.items() if not r.passed}
+    assert failed == {"step-identity", "sphere-gap", "nearest-point"} | (
+        {"initialization"} if n == 0 else set())
+    assert results["initialization"].detail.startswith(f"x0=(2, {'%.17g' % pts[0, 1]})")
+
+
 @pytest.mark.parametrize("horizon", [2, 3, 10, 63, 64, 65, 129, 299, 2000, 9999])
 def test_verify_nearest_equals_scan(report_10k, horizon):
     # the sizes straddle the 64-point leaf edges of the index
