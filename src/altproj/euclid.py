@@ -21,11 +21,12 @@ is the root of `_sq_dists`, the one sum of squared coordinate differences,
 so either way the index returns exactly what a full scan would.  For the MAP
 driver's speculative batches, `_confirm` checks many predicted answers at
 once: `_CloudIndex.search_many` runs the same distances and cell test
-vectorised over the queries, each on its predicted point's leaf, and any
-row it cannot settle, a tie or a query near its cell's faces, goes to the
-scalar pass.  The one deliberately fatal case is projecting the center of a
-sphere, where the minimizer set is the whole sphere: that raises
-`DegenerateProjection`.
+vectorised over the queries, each on its predicted point's leaf, a
+union's other members give their distances for the whole batch, and any
+row it cannot settle, a tie, a query near its cell's faces or a member
+within `tie_tol`, goes to the scalar pass.  The one deliberately fatal case
+is projecting the center of a sphere, where the minimizer set is the whole
+sphere: that raises `DegenerateProjection`.
 
 Every query is a pure function of its inputs.  A point cloud memoises two
 things, its index (built on the first query, with the leaf of each point
@@ -242,6 +243,11 @@ class ProjectorSpec:
         than its nearest points overrides it with the same expression."""
         return self._nearest(q, tie_tol).distance
 
+    def _distances(self, queries: np.ndarray, tie_tol: float) -> np.ndarray:
+        """`_distance` of each row of `queries`; a set that computes them
+        vectorised overrides it with the same bits."""
+        return np.array([self._distance(q, tie_tol) for q in queries])
+
     def to_dict(self) -> dict:
         """The JSON-object form that `spec_from_dict` reads back."""
         kind, names = _KIND_OF[type(self)]
@@ -271,6 +277,11 @@ class _Round(ProjectorSpec):
         # difference, norm and `_gap`, the set's distance at norm d
         return self._gap(_norm(q - self.center))
 
+    def _distances(self, queries, tie_tol):
+        # `_dists(q[None], center)[0]` is `_norm(q - center)` bit for bit,
+        # and `_gap` is one expression for a float and an array
+        return self._gap(_dists(queries, self.center))
+
 
 class Sphere(_Round):
     def _gap(self, d):
@@ -287,7 +298,11 @@ class Sphere(_Round):
 
 class Ball(_Round):
     def _gap(self, d):
-        return 0.0 if d <= self.radius else d - self.radius
+        # max(d - radius, 0.0) for a float and an array alike, bit for bit:
+        # x + |x| is +0.0 when x <= 0, else 2x, exact since a finite d is
+        # below 2^512
+        x = d - self.radius
+        return 0.5 * (x + abs(x))
 
     def _nearest(self, q, tie_tol):
         diff = q - self.center
@@ -621,24 +636,25 @@ def _confirm(spec: ProjectorSpec, cloud: PointCloud, queries: np.ndarray,
     `spec` the one point `cloud.points[expect[j]]`, bit for bit.
 
     `spec` is `cloud` or a union with `cloud` as a member.  A row that the
-    cloud's `search_many` hits needs no more work on a bare cloud; in a
-    union, every other member's distance, from its own `_distance`, must
-    also exceed the cloud's minimum plus `tie_tol`, so that the union
-    answers with the cloud's one point.  Every other row is projected by
-    `spec._nearest`, the scalar pass itself.  So a confirmed row is exactly
-    what `project` returns: single-valued, and the expected point.  The
-    count stops at the first row that is not confirmed.
+    cloud's `search_many` hits is settled on a bare cloud; in a union, every
+    other member's distance must also exceed the cloud's minimum plus
+    `tie_tol`, so that the union answers with the cloud's one point.  Each
+    member gives its distances for the whole batch from `_distances`, bit
+    for bit its `_distance` row by row.  Only the rows left unsettled loop
+    in Python: each is projected by `spec._nearest`, the scalar pass itself.
+    So a confirmed row is exactly what `project` returns: single-valued, and
+    the expected point.  The count stops at the first row that is not
+    confirmed.
     """
     index = cloud._index
     hit, dmin, slot = index.search_many(queries, expect, tie_tol)
-    others = [m for m in spec.members if m is not cloud] if spec is not cloud else []
-    for j, (lone, d) in enumerate(zip(hit.tolist(), dmin.tolist())):
-        q = queries[j]
-        if lone:
-            limit = d + tie_tol
-            if all(m._distance(q, tie_tol) > limit for m in others):
-                continue
-        cands = spec._nearest(q, tie_tol).candidates
+    if spec is not cloud:
+        limit = dmin + tie_tol
+        for m in spec.members:
+            if m is not cloud:
+                hit &= m._distances(queries, tie_tol) > limit
+    for j in np.flatnonzero(~hit).tolist():
+        cands = spec._nearest(queries[j], tie_tol).candidates
         if (cands is None or len(cands) != 1
                 or cands[0].tobytes() != cloud.points[expect[j]].tobytes()):
             return j

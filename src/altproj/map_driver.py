@@ -24,11 +24,15 @@ of parareal).  A batch projects all predicted queries of each set at once
 and keeps the longest prefix of pairs whose answers are single-valued and
 bitwise the predictions.  Each query of that prefix is then the query the
 sequential run would have made, and its answer is exactly what `project`
-returns for it, so the rows, the step norms (taken by `_norm` row by row)
-and the stop rule see the same bits.  A multivalued, degenerate or
-mispredicted answer is never accepted: that pair goes through `_step`, the
-one place where tie policy, events and projection errors are handled.
-Sets without a cloud are projected one `_step` at a time.
+returns for it, so the rows, the step norms and the stop rule see the
+same bits.  A confirmed batch stays one block of rows: `_dists` gives both
+of its step-norm columns, the stop rule finds its first small pair in one
+pass, and the trace takes the block whole.  `_dists` of a row is `_norm`
+of its difference bit for bit, and `_step` pairs keep `_norm`, so the two
+paths agree.  A multivalued, degenerate or mispredicted answer is never
+accepted: that pair goes through `_step`, the one place where tie policy,
+events and projection errors are handled.  Sets without a cloud are
+projected one `_step` at a time.
 """
 
 from __future__ import annotations
@@ -221,8 +225,10 @@ def _walk(spec: ProjectorSpec) -> Optional[_Walk]:
     return None
 
 
-def _pairs(config: MapConfig, events: list, counts: list):
-    """The MAP pairs (a_n, b_n) for n = 0, 1, ..., exactly as `_step` gives them.
+def _pairs(config: MapConfig, events: list, batches: list):
+    """The MAP pairs (a_n, b_n) for n < max_iter, exactly as `_step` gives
+    them: a `_step` pair as two 1-D rows, a confirmed batch as two `(m, d)`
+    blocks.
 
     When both sets have a walk with a stride, the next k answers of each
     are predicted as the last index plus 1..k strides, and `_confirm`
@@ -234,8 +240,8 @@ def _pairs(config: MapConfig, events: list, counts: list):
     miss, batches wait until a `_step` answer of each set repeats its last
     stride, then start again at k = 1: a walk whose stride keeps changing
     would otherwise pay a failed batch, and its scalar fallback on the very
-    query `_step` then projects, for every pair.  `counts` tallies the
-    batches and the pairs they gave.
+    query `_step` then projects, for every pair.  `batches[0]` counts the
+    batches.
     """
     set_a, set_b, tol = config.set_a, config.set_b, config.tie_tol
     walk_a = _walk(set_a)
@@ -244,7 +250,7 @@ def _pairs(config: MapConfig, events: list, counts: list):
     b = config.start
     n = 0
     size = 1 if speculate else 0
-    while True:
+    while n < config.max_iter:
         if size == 0 and speculate and min(walk_a.held, walk_b.held) >= _HOLD:
             size = 1
         k = min(walk_a.room(size), walk_b.room(size), config.max_iter - n) if size else 0
@@ -256,12 +262,11 @@ def _pairs(config: MapConfig, events: list, counts: list):
             m = euclid._confirm(set_a, walk_a.cloud, np.vstack((b, pb[:-1])), ia, tol)
             if m:
                 m = euclid._confirm(set_b, walk_b.cloud, pa[:m], ib[:m], tol)
-            counts[0] += 1
-            for a, b in zip(pa[:m], pb[:m]):
-                counts[1] += 1
-                yield a, b
-            n += m
+            batches[0] += 1
             if m:
+                yield pa[:m], pb[:m]
+                n += m
+                b = pb[m - 1]
                 walk_a.last, walk_b.last = int(ia[m - 1]), int(ib[m - 1])
             if m == k:
                 size = min(2 * size, _BATCH_MAX)
@@ -280,28 +285,55 @@ def _pairs(config: MapConfig, events: list, counts: list):
 def run(config: MapConfig) -> MapTrace:
     """Alternate projections from config.start until the stop rule or the budget."""
     a_rows, b_rows, step_ab, step_ba, events = [], [], [], [], []
-    counts = [0, 0]
+    columns = (a_rows, b_rows, step_ab, step_ba)
+    blocks = []  # the trace in parts: each run of `_step` rows as arrays, each block
+    batches = [0]
+    n = kept = 0
     b = config.start
     stop = config.stop_step
     stopped = False
-    for n, (a, b_next) in zip(range(config.max_iter), _pairs(config, events, counts)):
-        d_in = euclid._norm(a - b)
-        if n >= 1:
-            step_ba.append(d_in)
-        b = b_next
-        d_ab = euclid._norm(b - a)
-        step_ab.append(d_ab)
-        a_rows.append(a)
-        b_rows.append(b)
-        if stop > 0.0 and d_in < stop and d_ab < stop:
-            stopped = True
+    for a, b_next in _pairs(config, events, batches):
+        if a.ndim == 1:
+            d_in = euclid._norm(a - b)
+            if n >= 1:
+                step_ba.append(d_in)
+            b = b_next
+            d_ab = euclid._norm(b - a)
+            step_ab.append(d_ab)
+            a_rows.append(a)
+            b_rows.append(b)
+            n += 1
+            if stop > 0.0 and d_in < stop and d_ab < stop:
+                stopped = True
+                break
+            continue
+        # `_dists` of a row is `_norm` of its difference, bit for bit
+        d_in = euclid._dists(a, np.vstack((b, b_next[:-1])))
+        d_ab = euclid._dists(b_next, a)
+        if stop > 0.0:
+            small = np.flatnonzero((d_in < stop) & (d_ab < stop))
+            if small.size:
+                m = int(small[0]) + 1
+                a, b_next, d_in, d_ab = a[:m], b_next[:m], d_in[:m], d_ab[:m]
+                stopped = True
+        if a_rows:
+            blocks.append(tuple(map(np.array, columns)))
+            for rows in columns:
+                rows.clear()
+        blocks.append((a, b_next, d_ab, d_in if n >= 1 else d_in[1:]))
+        b = b_next[-1]
+        n += len(a)
+        kept += len(a)
+        if stopped:
             break
     log.debug("MAP run: %d speculative batches gave %d pairs, _step gave %d",
-              counts[0], counts[1], len(a_rows) - counts[1])
+              batches[0], kept, n - kept)
     # Stacked once at the stop: rows preallocated by max_iter would cost
     # max_iter rows even for a run that stops after a few.
-    a_arr, b_arr = np.array(a_rows), np.array(b_rows)
-    ab_arr, ba_arr = np.array(step_ab), np.array(step_ba)
+    if a_rows:
+        blocks.append(tuple(map(np.array, columns)))
+    a_arr, b_arr, ab_arr, ba_arr = (blocks[0] if len(blocks) == 1
+                                    else map(np.concatenate, zip(*blocks)))
     verdict = _classify(a_arr, b_arr, ab_arr, ba_arr, stop, stopped)
     return MapTrace(a_arr, b_arr, ab_arr, ba_arr, events, verdict)
 
@@ -316,7 +348,7 @@ def _classify(a: np.ndarray, b: np.ndarray, step_ab: np.ndarray, step_ba: np.nda
                  and step_ba[-1] < stop * CONTINUUM_STEP_FACTOR)
         tail_pts = a[-min(CONTINUUM_TAIL, iters):]
         if small and _diameter(tail_pts) > stop * CONTINUUM_SPREAD_FACTOR:
-            radii = np.array([euclid._norm(p) for p in tail_pts])
+            radii = euclid._dists(tail_pts, np.zeros(a.shape[1]))  # p - 0.0 is p
             spread = None
             if a.shape[1] == 2:  # angles describe planar tails only
                 angles = np.array([math.atan2(p[1], p[0]) for p in tail_pts])

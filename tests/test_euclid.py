@@ -674,6 +674,34 @@ def test_distance_is_the_nearest_distance():
             assert spec._distance(q, 1e-9) == spec._nearest(q, 1e-9).distance
 
 
+@given(kind=st.sampled_from([Sphere, Ball]), dim=st.integers(1, 4),
+       scale=st.integers(-20, 30), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_distances_are_distance_row_by_row(kind, dim, scale, seed):
+    # `_confirm` takes a round member's distances for a whole batch from
+    # `_distances`; each row must be its `_distance`, bit for bit, at the
+    # center, exactly on the radius, inside and outside, and a ball's gap
+    # is max(d - radius, 0.0) with a positive zero
+    rng = np.random.default_rng(seed)
+    size = 2.0 ** scale
+    center = rng.normal(size=dim) * size
+    rim = center + rng.normal(size=dim) * size
+    radius = euclid._norm(rim - center)  # so the query `rim` has d == radius
+    spec = kind(center, radius)
+    toward = (rim - center) * np.concatenate([rng.uniform(0.0, 1.0, 4),
+                                              rng.uniform(1.0, 3.0, 4)])[:, None]
+    queries = np.vstack([center, rim, center + toward,
+                         center + rng.normal(size=(8, dim)) * size])
+    got = spec._distances(queries, 1e-9)
+    want = [spec._distance(q, 1e-9) for q in queries]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert want[1] == 0.0 and want[0] == (radius if kind is Sphere else 0.0)
+    for q, dist in zip(queries, want):
+        d = euclid._norm(q - center)
+        expected = abs(d - radius) if kind is Sphere else max(d - radius, 0.0)
+        assert dist == expected and math.copysign(1.0, dist) == 1.0
+
+
 @given(dim=st.integers(1, 4), n=st.integers(1, 5 * LEAF_SIZE),
        seed=st.integers(0, 2**32 - 1),
        layout=st.sampled_from(["generic", "curve", "stacks", "grid"]),

@@ -3,6 +3,7 @@ sequential driver, `run_sequential`, bit for bit, errors included."""
 
 import logging
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -258,3 +259,40 @@ def test_run_logs_its_batches(report_300, caplog):
         counterexample.run_corollary(sets, 100)
     batches, speculated, stepped = (int(c) for c in _LOG.findall(caplog.text)[-1])
     assert speculated + stepped == 100 and stepped == 2 and batches >= 1
+
+
+def test_confirmed_batches_do_no_row_by_row_work(monkeypatch, caplog):
+    # A confirmed batch takes its step norms from `_dists` and the circle's
+    # distances from `_Round._distances`: `run` calls `_norm` only for its
+    # `_step` pairs, two each, and `_Round._distance` runs only for rows the
+    # cloud's batch search leaves to the scalar pass.  One row at a time,
+    # that was two `_norm` calls per pair and a `_distance` per settled row.
+    norms = distances = unsettled = 0
+    norm, distance = euclid._norm, euclid._Round._distance
+    search_many = euclid._CloudIndex.search_many
+
+    def counting_norm(v):
+        nonlocal norms
+        norms += sys._getframe(1).f_code is map_driver.run.__code__
+        return norm(v)
+
+    def counting_distance(self, q, tie_tol):
+        nonlocal distances
+        distances += 1
+        return distance(self, q, tie_tol)
+
+    def counting_search_many(self, queries, expect, tie_tol):
+        nonlocal unsettled
+        hit, dmin, slot = search_many(self, queries, expect, tie_tol)
+        unsettled += int(np.count_nonzero(~hit))
+        return hit, dmin, slot
+
+    monkeypatch.setattr(euclid, "_norm", counting_norm)
+    monkeypatch.setattr(euclid._Round, "_distance", counting_distance)
+    monkeypatch.setattr(euclid._CloudIndex, "search_many", counting_search_many)
+    sets = counterexample.build(2001)
+    with caplog.at_level(logging.DEBUG, logger=map_driver.log.name):
+        trace = counterexample.run_corollary(sets, counterexample.max_safe_pairs(2001))
+    batches, speculated, stepped = (int(c) for c in _LOG.findall(caplog.text)[-1])
+    assert len(trace.a) == 1000 and speculated + stepped == 1000 and batches >= 1
+    assert norms <= 2 * stepped and distances <= unsettled
