@@ -20,6 +20,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import counterexample, euclid, figure, finite_union, map_driver, sequence, spiral
 from .sequence import run_verification  # perfbench wraps this name on `cli`
 from .serialize import fmt17, render_json
@@ -74,7 +76,10 @@ def _cmd_run(args) -> int:
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     del data  # the parsed lists would otherwise stay alive through the run
-    trace = map_driver.run(config)
+    # an overflowed distance raises ValueError in `project`, a one-line
+    # error; numpy's overflow warning would only repeat it
+    with np.errstate(over="ignore"):
+        trace = map_driver.run(config)
     with _open_out(args.trace_out) as out:
         out.write(map_driver.trace_to_json(trace))
         out.write("\n")

@@ -21,12 +21,14 @@ is the root of `_sq_dists`, the one sum of squared coordinate differences,
 so either way the index returns exactly what a full scan would.  For the MAP
 driver's speculative batches, `_confirm` checks many predicted answers at
 once: `_CloudIndex.search_many` runs the same distances and cell test
-vectorised over the queries, each on its predicted point's leaf, a
-union's other members give their distances for the whole batch, and any
-row it cannot settle, a tie, a query near its cell's faces or a member
-within `tie_tol`, goes to the scalar pass.  The one deliberately fatal case
-is projecting the center of a sphere, where the minimizer set is the whole
-sphere: that raises `DegenerateProjection`.
+vectorised over the queries, each on its predicted point's leaf, and
+settles the queries near their cell's faces by one pass over the other
+leaves within reach of any of them; a union's other members give their
+distances for the whole batch, and only a row it cannot settle, a tie, a
+misprediction or a member within `tie_tol`, goes to the scalar pass.  The
+fatal cases are projecting the center of a sphere, where the minimizer set
+is the whole sphere, which raises `DegenerateProjection`, and a distance
+that overflows float64, which raises ValueError.
 
 Every query is a pure function of its inputs.  A point cloud memoises two
 things, its index (built on the first query, with the leaf of each point
@@ -222,6 +224,10 @@ class ProjectorSpec:
         `validate=False` skips the checks on `q` and `tie_tol`: the caller
         guarantees a finite float64 point of the set's dimension and a finite
         positive tolerance, as the MAP driver does for its own iterates.
+
+        Raises ValueError when the distance overflows float64: the true
+        distance between finite points is finite, but the sum of squares
+        behind it can round to inf, and every point would then tie.
         """
         if validate:
             tie_tol = float(tie_tol)
@@ -229,6 +235,8 @@ class ProjectorSpec:
                 raise ValueError(f"tie_tol must be finite and positive, got {tie_tol!r}")
             q = self._check_query(q)
         result = self._nearest(q, tie_tol)
+        if not math.isfinite(result.distance):
+            raise ValueError("the distance to the set overflows float64")
         if result.candidates is None:
             raise DegenerateProjection(
                 "projection of the sphere center: the minimizer set is the whole sphere"
@@ -438,7 +446,8 @@ class _CloudIndex:
     Points are split at the median into leaf buckets of `LEAF_SIZE`, stored
     permuted and contiguous as `(L, width, d)`, with per-leaf bounding boxes
     `lo`/`hi`, kept transposed, `(d, L)`: `bounds`, the one bound pass of
-    both exact searches (`search` and `sequence.verify_nearest`), then
+    every exact search (`search`, `search_many` and
+    `sequence.verify_nearest`), then
     works on contiguous rows, about twice as fast as on `(L, d)`.
     The last bucket is topped up with repeats of its final point, which
     change no minimum, and whose repeated index is dropped from the
@@ -541,12 +550,18 @@ class _CloudIndex:
         Returns `(hit, dmin, slot)`.  Every row's distances to the points of
         its expected point's leaf come from one `_dists` call on the gathered
         `(k, width, d)` block, with the leaf's minimum `dmin[j]` at slot
-        `slot[j]`.  `hit[j]` holds when that leaf passes `search`'s cell
-        test for row j, exactly one of its slots lies within `tie_tol` of
-        the minimum, and that slot holds `expect[j]`; `search` then returns
-        `dmin[j]` and `[expect[j]]`, bit for bit.  A row that does not hit
-        is undecided, not refuted: `search` answers it.  The remembered slot
-        is left alone.
+        `slot[j]`.  `hit[j]` needs every slot of that leaf within `tie_tol`
+        of the minimum to hold `expect[j]`, and no point of another leaf
+        within the row's limit `dmin[j] + tie_tol`; `search` keeps every
+        point at a distance `<=` that limit, so it returns `dmin[j]` and
+        `[expect[j]]`, bit for bit.  The leaf passing `search`'s cell test
+        for row j proves the second part at once.  The rows that fail only
+        the cell test, those near their cell's faces, are settled in one
+        pass: `bounds` bounds every leaf against each of them, and one
+        `_dists` call measures every other leaf whose bound does not exceed
+        the row's limit; the row hits when each of those distances exceeds
+        it.  A row that does not hit is undecided, not refuted: `search`
+        answers it.  The remembered slot is left alone.
         """
         k = len(queries)
         width = self.ids.shape[1]
@@ -555,24 +570,36 @@ class _CloudIndex:
         best = dists.argmin(axis=1)
         dmin = dists[np.arange(k), best]
         limit = dmin + tie_tol
-        lone = np.count_nonzero(dists <= limit[:, None], axis=1) == 1
+        # every slot within the limit holds `expect`: the top-up repeats of
+        # a leaf's final point are that one point
+        lone = ((dists > limit[:, None]) | (self.ids[leaves] == expect[:, None])).all(axis=1)
         gap = np.minimum((queries - self.cell_lo.take(leaves, axis=0)).min(axis=1),
                          (self.cell_hi.take(leaves, axis=0) - queries).min(axis=1))
-        hit = (np.sqrt(gap * gap) > limit) & lone & (self.ids[leaves, best] == expect)
+        hit = (np.sqrt(gap * gap) > limit) & lone
+        rows = np.flatnonzero(lone & ~hit)
+        at = queries[rows]
+        bound = self.bounds(at, at)
+        bound[np.arange(rows.size), leaves[rows]] = np.inf  # the row's own leaf
+        row, near = np.nonzero(bound <= limit[rows, None])
+        far = _dists(self.points.take(near, axis=0), at[row, None]) > limit[rows[row], None]
+        hit[rows] = True
+        hit[rows[row[~far.all(axis=1)]]] = False
         return hit, dmin, leaves * width + best
 
     def bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """A lower bound on the distance from the box [lo, hi] to each leaf.
 
         The one leaf bound of the index; a query point q is the box [q, q].
-        It is shrunk by `_BOUND_SLACK`, so a leaf whose bound exceeds r
-        holds no point within r of any point of [lo, hi].
+        `lo` and `hi` are `(..., d)`, and the bounds `(..., L)`: boxes along
+        leading axes are bounded in one pass.  The bound is shrunk by
+        `_BOUND_SLACK`, so a leaf whose bound exceeds r holds no point
+        within r of any point of [lo, hi].
         """
-        gap = self.lo - hi[:, None]
-        np.maximum(gap, lo[:, None] - self.hi, out=gap)
+        gap = self.lo - hi[..., None]
+        np.maximum(gap, lo[..., None] - self.hi, out=gap)
         np.maximum(gap, 0.0, out=gap)
         gap *= gap
-        bound = np.sqrt(gap.sum(axis=0))
+        bound = np.sqrt(gap.sum(axis=-2))
         bound *= _BOUND_SLACK
         return bound
 
@@ -636,12 +663,14 @@ def _confirm(spec: ProjectorSpec, cloud: PointCloud, queries: np.ndarray,
     `spec` the one point `cloud.points[expect[j]]`, bit for bit.
 
     `spec` is `cloud` or a union with `cloud` as a member.  A row that the
-    cloud's `search_many` hits is settled on a bare cloud; in a union, every
-    other member's distance must also exceed the cloud's minimum plus
-    `tie_tol`, so that the union answers with the cloud's one point.  Each
-    member gives its distances for the whole batch from `_distances`, bit
-    for bit its `_distance` row by row.  Only the rows left unsettled loop
-    in Python: each is projected by `spec._nearest`, the scalar pass itself.
+    cloud's `search_many` hits, a row near its cell's faces included, is
+    settled on a bare cloud; in a union, every other member's distance must
+    also exceed the cloud's minimum plus `tie_tol`, so that the union
+    answers with the cloud's one point.  Each member gives its distances
+    for the whole batch from `_distances`, bit for bit its `_distance` row
+    by row.  Only the rows left unsettled, ties, mispredictions and rows
+    with another member within `tie_tol`, loop in Python: each is projected
+    by `spec._nearest`, the scalar pass itself.
     So a confirmed row is exactly what `project` returns: single-valued, and
     the expected point.  The count stops at the first row that is not
     confirmed.

@@ -155,8 +155,8 @@ def _step(spec: ProjectorSpec, point: np.ndarray, which: str, iteration: int,
     # later query point is a projection, so the per-query checks are skipped.
     try:
         result = spec.project(point, config.tie_tol, validate=False)
-    except DegenerateProjection as exc:
-        raise DegenerateProjection(f"set {which}, iteration {iteration}: {exc}") from exc
+    except (DegenerateProjection, ValueError) as exc:
+        raise type(exc)(f"set {which}, iteration {iteration}: {exc}") from exc
     if result.multivalued:
         events.append((iteration, which))
         if config.tie_policy == TIE_ERROR:

@@ -98,7 +98,7 @@ def distance(spec, q) -> float:
 
 def clip_leaf_bound(index, q: np.ndarray) -> np.ndarray:
     """Every leaf's bound from `q`, taken by clipping q into each box:
-    `index.bounds(q, q)`, the bound pass of both cloud searches, must pick
+    `index.bounds(q, q)`, the bound pass of every cloud search, must pick
     exactly the leaves whose bound here does not exceed any given reach."""
     col = q[:, None]
     box = np.maximum(index.lo, col)  # each box's nearest point to q ...

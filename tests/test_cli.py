@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -441,6 +442,26 @@ def test_run_degenerate_projection(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("check failed: set A, iteration 0: projection of the sphere "
                             "center: the minimizer set is the whole sphere\n")
+
+
+def test_run_overflowed_distance_is_one_line_error(tmp_path, capsys):
+    # The squares behind the distance from (1e200, 1e200) to either point
+    # overflow: the distance was inf and both points a false tie, reported
+    # as a multivalued event of a run that exited 0, after numpy's warnings.
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps({
+        "A": {"type": "points", "coords": [[0.0, 0.0], [1.0, 0.0]]},
+        "B": {"type": "box", "min": [-1.0, -1.0], "max": [1.0, 1.0]},
+        "start": [1e200, 1e200],
+        "max_iter": 5,
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise
+        code = main(["run", "--config", str(config), "--trace-out", "-"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: set A, iteration 0: the distance to the set overflows float64\n"
 
 
 def test_run_tie_error_policy(tmp_path, capsys):

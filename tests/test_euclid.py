@@ -103,6 +103,16 @@ def test_sphere_center_projection_is_degenerate():
         Sphere(O2, 1.0).project([1e-13, 0.0])
 
 
+def test_overflowed_distance_raises():
+    # the sum of squares from (1e200, 1e200) rounds to inf, which would tie
+    # every point of the cloud; the true nearest point is (1, 0)
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0]])
+    with np.errstate(over="ignore"):
+        for spec in (cloud, Union([Sphere([0.0, 0.0], 1.0), cloud])):
+            with pytest.raises(ValueError, match="overflows float64"):
+                spec.project([1e200, 1e200])
+
+
 def test_ball_center_projection_is_fine():
     res = Ball(O2, 1.0).project([0.0, 0.0])
     np.testing.assert_array_equal(res.candidates[0], [0.0, 0.0])
@@ -727,6 +737,73 @@ def test_search_many_hits_only_what_search_returns(dim, n, seed, layout, tol):
         on_point = np.flatnonzero(expect == own)
         exact = index.search_many(pts[expect[on_point]], expect[on_point], tol)[0]
         assert exact.any() or on_point.size == 0
+    # Rows on and one ulp inside a face of their leaf's cell fail the cell
+    # test.  The batch measures the neighbouring leaves instead, so a row
+    # hits exactly when `search` answers its expected point alone, at the
+    # same slot; on a generic cloud of three or more leaves some do.
+    queries, expect = _face_rows(index, pts)
+    hit, dmin, slot = index.search_many(queries, expect, tol)
+    for j in range(len(queries)):
+        alone = index.search(queries[j], tol) == (dmin[j], [expect[j]])
+        assert hit[j] == alone
+        assert index._slot == slot[j] or not alone
+    if layout == "generic" and dim >= 2 and n > 2 * LEAF_SIZE and tol < 1e-3:
+        assert hit.any()
+
+
+def _face_rows(index, pts):
+    """For each finite face of each leaf's cell, the leaf's point nearest
+    to it moved onto the face and one ulp inside, with that point's index."""
+    rows, expect = [], []
+    for leaf, block in enumerate(index.points):
+        for axis in range(pts.shape[1]):
+            for face, slot in ((index.cell_lo[leaf, axis], block[:, axis].argmin()),
+                               (index.cell_hi[leaf, axis], block[:, axis].argmax())):
+                if np.isfinite(face):
+                    e = index.ids[leaf, slot]
+                    on = pts[e].copy()
+                    on[axis] = face
+                    inside = on.copy()
+                    inside[axis] = np.nextafter(face, pts[e, axis])
+                    rows += [on, inside]
+                    expect += [e, e]
+    return np.array(rows).reshape(-1, pts.shape[1]), np.array(expect, dtype=np.intp)
+
+
+def test_search_many_keeps_a_tie_at_exactly_the_limit():
+    # Two leaves cut on x, every sum exact: the origin is 0.25 from the
+    # point p = (-0.25, 0) and, across the face x = 0.1875, 0.3125 from
+    # r = (0.1875, 0.25).  With tie_tol 0.0625 r lies exactly at the limit
+    # 0.3125, where `search` keeps it as a tie, so the row must not hit;
+    # with a smaller tie_tol p is alone, and the row, which fails the cell
+    # test, hits without a scalar search.
+    left = np.stack([-0.25 - np.arange(LEAF_SIZE)[::-1], np.zeros(LEAF_SIZE)], axis=1)
+    right = np.stack([2.0 + np.arange(LEAF_SIZE - 1), np.zeros(LEAF_SIZE - 1)], axis=1)
+    index = PointCloud(np.concatenate([left, [[0.1875, 0.25]], right]))._index
+    p, r, q = LEAF_SIZE - 1, LEAF_SIZE, np.zeros((1, 2))
+    assert index.cell_hi[index.leaf_of[p]].tolist() == [0.1875, math.inf]
+    assert index.search(q[0], 0.0625) == (0.25, [p, r])
+    assert not index.search_many(q, np.array([p]), 0.0625)[0][0]
+    tol = 0.0625 - 2.0**-10
+    assert index.search(q[0], tol) == (0.25, [p])
+    hit, dmin, _ = index.search_many(q, np.array([p]), tol)
+    assert hit[0] and dmin[0] == 0.25
+
+
+@given(dim=st.integers(1, 4), n=st.integers(1, 9 * LEAF_SIZE), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_bounds_of_many_boxes_are_each_box_bounds(dim, n, seed, rows):
+    # `bounds` takes leading query axes; each row's bounds are those of
+    # its own call, bit for bit, so every search keeps one bound expression
+    rng = np.random.default_rng(seed)
+    index = PointCloud(rng.normal(size=(n, dim)))._index
+    lo = rng.normal(size=(rows, dim))
+    hi = lo + rng.uniform(0.0, 1.0, size=(rows, dim)) * rng.integers(0, 2, size=(rows, 1))
+    got = index.bounds(lo, hi)
+    assert got.shape == (rows, len(index.ids))
+    for j in range(rows):
+        assert got[j].tobytes() == index.bounds(lo[j], hi[j]).tobytes()
 
 
 def test_incoherent_queries_visit_few_leaves(report_100k, monkeypatch):
