@@ -4,8 +4,8 @@ The curve is ``alpha -> rho(alpha) * (cos(alpha), sin(alpha))`` with
 ``rho(t) = 1 + exp(-t)`` for nonnegative angles in radians; it winds
 counter-clockwise and tightens onto the unit circle.  The step size
 ``eps(t) = (rho(t) - rho(t + 2 pi)) / 2`` is half the radial drop over one
-full turn.  ``alpha_chain`` solves for each next angle, whose curve point lies
-exactly one step size away, and ``columns`` evaluates the curve.
+full turn.  Seeded from the last two increments, ``alpha_chain`` solves for
+each next angle, one step size away, and ``columns`` evaluates the curve.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .euclid import _integer
+from .euclid import _finite, _integer
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -95,8 +95,8 @@ def advance(alpha: float, t_guess: float) -> float:
     and the solve stops when the bisection cannot move (the bracket ends are
     adjacent floats).
     """
-    r = _rho(alpha)
-    e2 = ((r - _rho(alpha + TWO_PI)) / 2.0) ** 2  # _eps(alpha) ** 2
+    r = 1.0 + math.exp(-alpha)
+    e2 = ((r - (1.0 + math.exp(-(alpha + TWO_PI)))) / 2.0) ** 2  # _eps(alpha) ** 2
     # The chord is the half-angle form of the law of cosines, r^2 + s^2 -
     # 2 r s cos(t): the raw form cancels catastrophically once the chord drops
     # below ~sqrt(ulp(2)) ~ 2e-8, this one stays fully accurate.  So f(0) =
@@ -133,26 +133,28 @@ def advance(alpha: float, t_guess: float) -> float:
 def alpha_chain(alpha0, count: int, max_alpha: float = MAX_ALPHA) -> tuple[np.ndarray, bool]:
     """`count` angles from `alpha0`, each the unique forward angle whose curve
     point is one step size from the last one's.  Each is solved by `advance`:
-    the first from the small-step asymptote eps/rho, later ones from the
-    previous increment.  Raises `BracketInvalid` once the step size
-    underflows to zero (near alpha ~ 36.7).
+    the first from the small-step asymptote eps/rho, the second from the first
+    increment, later ones from the last two: step + (step - prev).  Raises
+    `BracketInvalid` once the step size underflows to zero (near alpha ~ 36.7).
 
     Returns (angles, stopped_early); the array is shorter than `count` only
     when an angle exceeded `max_alpha`, in which case stopped_early is True.
     """
-    a = float(alpha0)
-    if not math.isfinite(a) or a < 0.0:
-        raise ValueError(f"alpha0 must be a finite nonnegative angle in radians, got {alpha0!r}")
+    a = _finite("alpha0", alpha0)
+    if a < 0.0:
+        raise ValueError(f"alpha0 must be >= 0, got {alpha0!r}")
     n = _integer("count", count)
     if n < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     out = np.empty(n, dtype=np.float64)
     out[0] = a
-    step = _eps(a) / _rho(a)
+    step = prev = _eps(a) / _rho(a)
     for i in range(1, n):
         if a > max_alpha:
             return out[:i].copy(), True
-        b = advance(a, step)
-        step = b - a
+        b = advance(a, step + (step - prev))
+        prev, step = step, b - a
+        if i == 1:
+            prev = step
         out[i] = a = b
     return out, False

@@ -85,6 +85,10 @@ def test_alpha_chain_rejects_negative_and_nonfinite_start():
         alpha_chain(-1.0, 3)
     with pytest.raises(ValueError, match="alpha0"):
         alpha_chain(math.inf, 3)
+    with pytest.raises(ValueError, match="alpha0"):
+        alpha_chain(True, 3)
+    with pytest.raises(ValueError, match="alpha0"):
+        alpha_chain("0.5", 3)
 
 
 def test_eps_initial_value():
@@ -222,18 +226,27 @@ def test_advance_converges_from_any_guess(guess):
         assert abs(advance(alpha, guess) - expected) <= 2 * math.ulp(expected)
 
 
-def test_alpha_chain_equals_full_bracket_solve():
-    angles, stopped = alpha_chain(0.0, 20_000)
-    assert not stopped
-    a = 0.0
+def _previous_increment_chain(alpha0, count):
+    """`count` angles from `alpha0`, each solved by `advance_with_full_bracket`
+    from the previous increment (the first from eps/rho)."""
+    a = alpha0
     step = _eps(a) / _rho(a)
     expected = [a]
-    for _ in range(19_999):
+    for _ in range(count - 1):
         b = advance_with_full_bracket(a, step)
         step = b - a
         expected.append(b)
         a = b
-    assert angles.tolist() == expected
+    return expected
+
+
+def test_alpha_chain_equals_full_bracket_solve():
+    # the chain seeds from the trend of two increments and must land on the
+    # same angles; from 13.0 (past iterate 1e6) the seed changes most
+    for alpha0, count in ((0.0, 20_000), (13.0, 5_000)):
+        angles, stopped = alpha_chain(alpha0, count)
+        assert not stopped
+        assert angles.tolist() == _previous_increment_chain(alpha0, count)
 
 
 @pytest.mark.parametrize("alpha, guess, root", DETOUR_ROOTS.values(),
@@ -278,6 +291,27 @@ def test_step_solve_stops_at_a_converged_newton_step(monkeypatch):
     _, stopped = alpha_chain(0.0, 20_000)
     assert not stopped and len(evaluations) == 19_999
     assert max(evaluations) <= 5
+
+
+@pytest.mark.parametrize("alpha0, count, bound", [(0.0, 20_000, 2.3), (13.0, 5_000, 1.3)])
+def test_chain_seed_cuts_chord_evaluations(monkeypatch, alpha0, count, bound):
+    # seeded from the previous increment alone, the means are 3.04 and 2.00:
+    # past iterate 1e5 the second evaluation of every step only confirms
+    # that the first Newton step was below one ulp
+    calls = _count_exp(monkeypatch)
+    solve = spiral.advance
+    evaluations = []
+
+    def counted(alpha, t_guess):
+        before = calls[0]
+        b = solve(alpha, t_guess)
+        evaluations.append(calls[0] - before - 2)  # less rho(alpha), rho(alpha + 2 pi)
+        return b
+
+    monkeypatch.setattr(spiral, "advance", counted)
+    _, stopped = alpha_chain(alpha0, count)
+    assert not stopped and len(evaluations) == count - 1
+    assert sum(evaluations) / len(evaluations) <= bound
 
 
 def test_advance_stops_on_a_bracket_of_adjacent_floats(monkeypatch):
