@@ -22,13 +22,13 @@ so either way the index returns exactly what a full scan would.  For the MAP
 driver's speculative batches, `_confirm` checks many predicted answers at
 once: `_CloudIndex.search_many` runs the same distances and cell test
 vectorised over the queries, each on its predicted point's leaf, and
-settles the queries near their cell's faces by one pass over the other
-leaves within reach of any of them; a union's other members give their
-distances for the whole batch, and only a row it cannot settle, a tie, a
-misprediction or a member within `tie_tol`, goes to the scalar pass.  The
-fatal cases are projecting the center of a sphere, where the minimizer set
-is the whole sphere, which raises `DegenerateProjection`, and a distance
-that overflows float64, which raises ValueError.
+settles the queries near their cell's faces by passes of bounded size
+over the other leaves within reach of any of them; a union's other members
+give their distances for the whole batch, and only a row it cannot settle,
+a tie, a misprediction or a member within `tie_tol`, goes to the scalar
+pass.  The fatal cases are projecting the center of a sphere, where the
+minimizer set is the whole sphere, which raises `DegenerateProjection`, and
+a distance that overflows float64, which raises ValueError.
 
 Every query is a pure function of its inputs.  A point cloud memoises two
 things, its index (built on the first query, with the leaf of each point
@@ -59,6 +59,11 @@ _UNIT_TOL = 1e-12
 # Leaf bounds are shrunk by a few ulps so that rounding in the bound can
 # never prune a leaf holding a point at or below the pruning threshold.
 _BOUND_SLACK = 1.0 - 8.0 * np.finfo(np.float64).eps
+
+#: Most leaf bounds one `bounds` call of `search_many` computes: its face
+#: rows are bounded this many leaves' worth at a time, so the pass's
+#: memory does not grow with the batch.
+_BOUNDS_PER_PASS = 1 << 18
 
 __all__ = [
     "Ball",
@@ -556,12 +561,13 @@ class _CloudIndex:
         point at a distance `<=` that limit, so it returns `dmin[j]` and
         `[expect[j]]`, bit for bit.  The leaf passing `search`'s cell test
         for row j proves the second part at once.  The rows that fail only
-        the cell test, those near their cell's faces, are settled in one
-        pass: `bounds` bounds every leaf against each of them, and one
-        `_dists` call measures every other leaf whose bound does not exceed
-        the row's limit; the row hits when each of those distances exceeds
-        it.  A row that does not hit is undecided, not refuted: `search`
-        answers it.  The remembered slot is left alone.
+        the cell test, those near their cell's faces, are settled in
+        passes of at most `_BOUNDS_PER_PASS` leaf bounds: `bounds` bounds
+        every leaf against each row of the pass, and one `_dists` call
+        measures every other leaf whose bound does not exceed the row's
+        limit; the row hits when each of those distances exceeds it.  A
+        row that does not hit is undecided, not refuted: `search` answers
+        it.  The remembered slot is left alone.
         """
         k = len(queries)
         width = self.ids.shape[1]
@@ -577,13 +583,16 @@ class _CloudIndex:
                          (self.cell_hi.take(leaves, axis=0) - queries).min(axis=1))
         hit = (np.sqrt(gap * gap) > limit) & lone
         rows = np.flatnonzero(lone & ~hit)
-        at = queries[rows]
-        bound = self.bounds(at, at)
-        bound[np.arange(rows.size), leaves[rows]] = np.inf  # the row's own leaf
-        row, near = np.nonzero(bound <= limit[rows, None])
-        far = _dists(self.points.take(near, axis=0), at[row, None]) > limit[rows[row], None]
         hit[rows] = True
-        hit[rows[row[~far.all(axis=1)]]] = False
+        step = max(1, _BOUNDS_PER_PASS // self.lo.shape[1])
+        for start in range(0, rows.size, step):
+            part = rows[start:start + step]
+            at = queries[part]
+            bound = self.bounds(at, at)
+            bound[np.arange(part.size), leaves[part]] = np.inf  # the row's own leaf
+            row, near = np.nonzero(bound <= limit[part, None])
+            far = _dists(self.points.take(near, axis=0), at[row, None]) > limit[part[row], None]
+            hit[part[row[~far.all(axis=1)]]] = False
         return hit, dmin, leaves * width + best
 
     def bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -172,7 +172,7 @@ def _diameter(points: np.ndarray) -> float:
 
 
 #: The most MAP pairs one speculative batch predicts.
-_BATCH_MAX = 64
+_BATCH_MAX = 256
 
 #: How many `_step` answers in a row must repeat a walk's stride before a
 #: batch is tried again after a miss.
@@ -236,7 +236,10 @@ def _pairs(config: MapConfig, events: list, batches: list):
     B-queries (the predicted a's) in one batch per set.  A confirmed answer
     is single-valued and bitwise the prediction, so the pairs up to the
     first unconfirmed one are the sequential pairs; that one goes through
-    `_step`.  k doubles after a full batch, up to `_BATCH_MAX`.  After a
+    `_step`.  k doubles after a full batch, up to `_BATCH_MAX` = 256: a
+    batch with a query near a cell face pays one `bounds` pass over every
+    leaf, so larger batches pay fewer passes, while at 1024 the batch's own
+    arrays cost more time than the passes they save.  After a
     miss, batches wait until a `_step` answer of each set repeats its last
     stride, then start again at k = 1: a walk whose stride keeps changing
     would otherwise pay a failed batch, and its scalar fallback on the very

@@ -11,6 +11,8 @@ farther).  `run_verification` runs every check and reports each as a named
 pass/fail result.  Every check reads every coordinate of a point, so a report
 of any dimension is checked whole; lengths are the iterated `np.hypot` of
 the coordinates, which in the plane is `np.hypot(x, y)`, bit for bit.
+`write_csv` and `write_json` write the table a block of rows at a time
+through `serialize._rows`, every float as `'%.17g'` renders it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import euclid, spiral
+from . import euclid, serialize, spiral
 
 __all__ = [
     "CheckResult",
@@ -38,13 +40,16 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,alpha,delta,rho,eps,x,y"
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-_CSV_LAST_ROW = "%d,%.17g,,%.17g,%.17g,%.17g,%.17g\n"  # no successor, no delta
-# `serialize.render_json`'s layout of a list of objects; the final one has no successor
-_JSON_ROW = ('{\n  "n": %d,\n  "alpha": %.17g,\n  "delta": %.17g,\n  "rho": %.17g,\n'
-             '  "eps": %.17g,\n  "x": [%.17g, %.17g],\n  "q": %.17g\n}, ')
-_JSON_LAST_ROW = ('{\n  "n": %d,\n  "alpha": %.17g,\n  "delta": null,\n  "rho": %.17g,\n'
-                  '  "eps": %.17g,\n  "x": [%.17g, %.17g],\n  "q": null\n}')
+# The text around the fields of a row (`serialize._rows`): n, alpha, delta,
+# rho, eps, x, y and, in JSON, q; the final row has no successor, so no
+# delta and no q
+_CSV_ROW = ("", ",", ",", ",", ",", ",", ",", "\n")
+_CSV_LAST_ROW = ("", ",", ",,", ",", ",", ",", "\n")
+# `serialize.render_json`'s layout of a list of objects
+_JSON_ROW = ('{\n  "n": ', ',\n  "alpha": ', ',\n  "delta": ', ',\n  "rho": ', ',\n  "eps": ',
+             ',\n  "x": [', ', ', '],\n  "q": ', '\n}, ')
+_JSON_LAST_ROW = ('{\n  "n": ', ',\n  "alpha": ', ',\n  "delta": null,\n  "rho": ',
+                  ',\n  "eps": ', ',\n  "x": [', ', ', '],\n  "q": null\n}')
 
 #: About how many distances `verify_nearest` computes in one block.
 _BLOCK = 1 << 15
@@ -273,32 +278,32 @@ def run_verification(report: SequenceReport,
     return results
 
 
-def _write_rows(report: SequenceReport, stream, head: str, row: str, last_row: str,
+def _write_rows(report: SequenceReport, stream, head: str, row: tuple, last_row: tuple,
                 tail: str, extra: tuple = ()) -> None:
     """Write `head`, one `row` per iterate but the last, `last_row`, then `tail`.
 
-    `row` takes n, alpha, delta, rho, eps, x, y and one value per `extra`
-    column; `last_row` takes n, alpha, rho, eps, x, y.  Rows are formatted
-    `spiral.CHUNK` at a time from a float table whose first column is n
-    (exact as a float); a non-finite value raises ValueError.
+    `row` is the text around n, alpha, delta, rho, eps, x, y and one value
+    per `extra` column, `last_row` the text around n, alpha, rho, eps, x,
+    y, as `serialize._rows` takes them.  Rows are formatted about
+    `serialize._BLOCK` values at a time, n as a float (exact); a non-finite
+    value raises ValueError.
     """
     stream.write(head)
     last = len(report) - 1
     if last >= 0:
         alphas, rhos, epss, pts = report.alphas, report.rhos, report.epss, report.points
         cols = (alphas, report.deltas, rhos, epss, pts[:, 0], pts[:, 1], *extra)
-        table = np.empty((min(spiral.CHUNK, last), len(cols) + 1))
-        for start in range(0, last, spiral.CHUNK):
-            stop = min(start + spiral.CHUNK, last)
-            block = np.stack([np.arange(start, stop), *(col[start:stop] for col in cols)],
-                             axis=1, out=table[:stop - start])
+        step = serialize._BLOCK // (len(cols) + 1)
+        for start in range(0, last, step):
+            stop = min(start + step, last)
+            block = np.stack([np.arange(start, stop), *(col[start:stop] for col in cols)])
             if not np.isfinite(block).all():
                 raise ValueError(f"cannot serialize a non-finite value in rows {start}..{stop - 1}")
-            stream.write((row * (stop - start)) % tuple(block.ravel().tolist()))
-        final = (alphas[last], rhos[last], epss[last], pts[last, 0], pts[last, 1])
+            stream.write(serialize._rows(block, row))
+        final = np.array([last, alphas[last], rhos[last], epss[last], pts[last, 0], pts[last, 1]])
         if not np.isfinite(final).all():
             raise ValueError(f"cannot serialize a non-finite value in row {last}")
-        stream.write(last_row % (last, *final))
+        stream.write(serialize._rows(final[:, None], last_row))
     stream.write(tail)
 
 

@@ -28,8 +28,8 @@ MAX_ALPHA = 700.0
 #: Every forward step is at most 40 degrees.
 STEP_UPPER_BOUND = math.radians(40.0)
 
-#: Elements per slice when `columns` and the CSV writer and sums of
-#: `sequence` turn arrays into Python floats: bounds their temporary lists.
+#: Elements per slice when `columns` and the sums of `sequence` turn arrays
+#: into Python floats: bounds their temporary lists.
 CHUNK = 4096
 
 __all__ = [
@@ -40,14 +40,6 @@ __all__ = [
 
 class BracketInvalid(RuntimeError):
     """The next-angle solve lost its sign change over the quarter-turn bracket."""
-
-
-def _rho(t: float) -> float:
-    return 1.0 + math.exp(-t)
-
-
-def _eps(t: float) -> float:
-    return (_rho(t) - _rho(t + TWO_PI)) / 2.0
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -96,7 +88,7 @@ def advance(alpha: float, t_guess: float) -> float:
     adjacent floats).
     """
     r = 1.0 + math.exp(-alpha)
-    e2 = ((r - (1.0 + math.exp(-(alpha + TWO_PI)))) / 2.0) ** 2  # _eps(alpha) ** 2
+    e2 = ((r - (1.0 + math.exp(-(alpha + TWO_PI)))) / 2.0) ** 2  # eps(alpha) ** 2
     # The chord is the half-angle form of the law of cosines, r^2 + s^2 -
     # 2 r s cos(t): the raw form cancels catastrophically once the chord drops
     # below ~sqrt(ulp(2)) ~ 2e-8, this one stays fully accurate.  So f(0) =
@@ -148,7 +140,8 @@ def alpha_chain(alpha0, count: int, max_alpha: float = MAX_ALPHA) -> tuple[np.nd
         raise ValueError(f"count must be >= 1, got {count!r}")
     out = np.empty(n, dtype=np.float64)
     out[0] = a
-    step = prev = _eps(a) / _rho(a)
+    r = 1.0 + math.exp(-a)
+    step = prev = ((r - (1.0 + math.exp(-(a + TWO_PI)))) / 2.0) / r  # eps(a) / rho(a)
     for i in range(1, n):
         if a > max_alpha:
             return out[:i].copy(), True

@@ -13,7 +13,7 @@ from altproj.euclid import (_BOUND_SLACK, DEFAULT_TIE_TOL, Ball, Box, DimensionM
 from altproj.finite_union import ConvergenceVerdict, classify
 from altproj.map_driver import MapConfig, MapTrace, _classify, _step
 from altproj.serialize import fmt17, render_json
-from altproj.spiral import HALF_PI, BracketInvalid, _eps, _rho
+from altproj.spiral import HALF_PI, TWO_PI, BracketInvalid
 
 
 @pytest.fixture(scope="session")
@@ -144,6 +144,17 @@ def write_json_objects(report: sequence.SequenceReport, stream) -> None:
     stream.write(render_json(records_to_json_obj(report)) + "\n")
 
 
+def rho(t: float) -> float:
+    """The spiral's radius at angle t, the reference for `spiral.columns`
+    and the step solve."""
+    return 1.0 + math.exp(-t)
+
+
+def eps(t: float) -> float:
+    """The step size at angle t: half the radial drop over one full turn."""
+    return (rho(t) - rho(t + TWO_PI)) / 2.0
+
+
 def chord_sq(alpha: float, t: float) -> float:
     """The squared chord from the curve point at `alpha` to the one at
     `alpha + t`, the reference formula of the step solve."""
@@ -151,8 +162,8 @@ def chord_sq(alpha: float, t: float) -> float:
     # r^2 + s^2 - 2 r s cos(t) = (r - s)^2 + 4 r s sin^2(t/2):
     # the raw form cancels catastrophically once the chord drops below
     # ~sqrt(ulp(2)) ~ 2e-8, this one stays fully accurate
-    r = _rho(alpha)
-    s = _rho(alpha + t)
+    r = rho(alpha)
+    s = rho(alpha + t)
     d = r - s
     h = math.sin(0.5 * t)
     return d * d + 4.0 * r * s * h * h
@@ -161,10 +172,10 @@ def chord_sq(alpha: float, t: float) -> float:
 def advance_with_full_bracket(alpha: float, t_guess: float) -> float:
     """The step solve with both bracket ends evaluated by `chord_sq`:
     `spiral.advance` must return the same angle bit for bit."""
-    e2 = _eps(alpha) ** 2
+    e2 = eps(alpha) ** 2
     if not (chord_sq(alpha, 0.0) - e2 < 0.0 < chord_sq(alpha, HALF_PI) - e2):
         raise BracketInvalid(f"no sign change over the quarter-turn bracket at alpha={alpha!r}")
-    r = _rho(alpha)
+    r = rho(alpha)
     lo, hi = 0.0, HALF_PI
     t = t_guess if lo < t_guess < hi else 0.5 * HALF_PI
     while True:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altproj
-from altproj import map_driver, sequence, spiral
+from altproj import map_driver, sequence, serialize, spiral
 from altproj.euclid import LEAF_SIZE
 from altproj.sequence import (
     NearestPropertyViolated,
@@ -369,8 +369,11 @@ def test_json_records():
     assert objs[0]["delta"] == report.deltas[0]
 
 
-#: Report sizes that straddle the block edges of the row writer.
-_BLOCK_EDGES = [1, 2, spiral.CHUNK - 1, spiral.CHUNK, spiral.CHUNK + 1, 2 * spiral.CHUNK + 1]
+#: Report sizes that straddle the block edges of `spiral.columns` and of the
+#: row writers, whose blocks hold about `serialize._BLOCK` values: rows of 7
+#: in CSV, of 8 in JSON, and the final row on its own.
+_BLOCK_EDGES = [1, 2, spiral.CHUNK - 1, spiral.CHUNK, spiral.CHUNK + 1, 2 * spiral.CHUNK + 1,
+                *(serialize._BLOCK // width + extra for width in (7, 8) for extra in (0, 1, 2))]
 
 
 @pytest.mark.parametrize("n", _BLOCK_EDGES)

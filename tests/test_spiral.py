@@ -13,12 +13,10 @@ from altproj.spiral import (
     HALF_PI,
     TWO_PI,
     BracketInvalid,
-    _eps,
-    _rho,
     advance,
     alpha_chain,
 )
-from conftest import advance_with_full_bracket, chord_sq
+from conftest import advance_with_full_bracket, chord_sq, eps, rho
 
 # Angles computed independently at 60 decimal digits (bracketed root solve on
 # the exact chord equation), frozen here to 22 significant digits.
@@ -70,10 +68,10 @@ DETOUR_ROOTS = {
 
 
 def test_rho_examples():
-    assert _rho(0.0) == 2.0
-    assert _rho(50.0) == pytest.approx(1.0, abs=1e-20)
-    assert _rho(TWO_PI) == 1.0 + math.exp(-TWO_PI)
-    assert _rho(1.0) > _rho(2.0) > _rho(3.0) > 1.0
+    assert rho(0.0) == 2.0
+    assert rho(50.0) == pytest.approx(1.0, abs=1e-20)
+    assert rho(TWO_PI) == 1.0 + math.exp(-TWO_PI)
+    assert rho(1.0) > rho(2.0) > rho(3.0) > 1.0
 
 
 def test_alpha_chain_rejects_negative_and_nonfinite_start():
@@ -92,18 +90,18 @@ def test_alpha_chain_rejects_negative_and_nonfinite_start():
 
 
 def test_eps_initial_value():
-    assert _eps(0.0) == pytest.approx(EPS0, abs=1e-16)
-    assert _eps(0.0) == pytest.approx((1.0 - math.exp(-TWO_PI)) / 2.0, abs=1e-16)
+    assert eps(0.0) == pytest.approx(EPS0, abs=1e-16)
+    assert eps(0.0) == pytest.approx((1.0 - math.exp(-TWO_PI)) / 2.0, abs=1e-16)
 
 
 def test_eps_below_sphere_distance():
     for t in np.linspace(0.0, 40.0, 200).tolist():
-        assert _eps(t) < math.exp(-t)
+        assert eps(t) < math.exp(-t)
 
 
 def test_eps_strictly_decreasing():
-    assert _eps(10.0) > _eps(11.0)
-    values = [_eps(t) for t in np.linspace(0.0, 25.0, 100).tolist()]
+    assert eps(10.0) > eps(11.0)
+    values = [eps(t) for t in np.linspace(0.0, 25.0, 100).tolist()]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -111,7 +109,7 @@ def test_eps_ratio_closed_form_and_monotone():
     grid = np.linspace(0.0, 30.0, 500).tolist()
     ratios = []
     for t in grid:
-        ratio = _eps(t) / _rho(t)
+        ratio = eps(t) / rho(t)
         closed = 0.5 * (1.0 - math.exp(-TWO_PI)) / (1.0 + math.exp(t))
         assert abs(ratio - closed) <= 1e-14
         ratios.append(ratio)
@@ -148,7 +146,7 @@ def test_columns_equal_scalar_functions():
 def test_chord_sq_zero_at_origin_and_right_angle():
     assert chord_sq(0.3, 0.0) == 0.0
     val = chord_sq(0.0, HALF_PI)
-    assert val == pytest.approx(_rho(0.0) ** 2 + _rho(HALF_PI) ** 2, rel=1e-14)
+    assert val == pytest.approx(rho(0.0) ** 2 + rho(HALF_PI) ** 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0])
@@ -180,7 +178,7 @@ def test_next_alpha_residuals_over_random_angles():
     for a in alphas.tolist():
         b = alpha_chain(a, 2)[0][1]
         pa, pb = spiral.columns(np.array([a, b]))[2]
-        resid = abs(float(np.linalg.norm(pb - pa)) - _eps(a))
+        resid = abs(float(np.linalg.norm(pb - pa)) - eps(a))
         worst = max(worst, resid)
     assert worst <= 1e-14
 
@@ -197,7 +195,7 @@ def test_next_alpha_step_stays_in_bracket():
 def test_unique_sign_change_on_grid(alpha):
     # geometric grid: the root shrinks like the step size, so a uniform grid
     # would step straight over it at large angles
-    e2 = _eps(alpha) ** 2
+    e2 = eps(alpha) ** 2
     ts = np.geomspace(1e-13, HALF_PI, 10_000)
     signs = np.sign([chord_sq(alpha, t) - e2 for t in ts.tolist()])
     flips = int(np.count_nonzero(np.diff(signs) != 0))
@@ -207,7 +205,7 @@ def test_unique_sign_change_on_grid(alpha):
 def test_step_asymptote_matches_ratio_at_large_angle():
     a = 20.0
     delta = alpha_chain(a, 2)[0][1] - a
-    ratio = _eps(a) / _rho(a)
+    ratio = eps(a) / rho(a)
     assert abs(delta - ratio) / ratio <= 1e-3
 
 
@@ -230,7 +228,7 @@ def _previous_increment_chain(alpha0, count):
     """`count` angles from `alpha0`, each solved by `advance_with_full_bracket`
     from the previous increment (the first from eps/rho)."""
     a = alpha0
-    step = _eps(a) / _rho(a)
+    step = eps(a) / rho(a)
     expected = [a]
     for _ in range(count - 1):
         b = advance_with_full_bracket(a, step)
@@ -355,9 +353,9 @@ def test_bracket_check_premise_holds_past_the_step_size_underflow():
     # `advance` checks only e2 > 0, because f(pi/2) = chord_sq(alpha, pi/2)
     # - e2 stays above 7/4; the grid runs past alpha ~36.7, where eps is 0
     for alpha in np.linspace(0.0, 40.0, 40_001).tolist():
-        assert chord_sq(alpha, HALF_PI) - _eps(alpha) ** 2 > 1.75
+        assert chord_sq(alpha, HALF_PI) - eps(alpha) ** 2 > 1.75
         assert ((_advance_outcome(advance, alpha, 0.1) == "BracketInvalid")
-                == (_eps(alpha) == 0.0)), alpha
+                == (eps(alpha) == 0.0)), alpha
 
 
 @settings(max_examples=300, deadline=None)
