@@ -24,7 +24,7 @@ import numpy as np
 
 from . import counterexample, euclid, figure, finite_union, map_driver, sequence, spiral
 from .sequence import run_verification  # perfbench wraps this name on `cli`
-from .serialize import fmt17, render_json
+from .serialize import dump_json, fmt17
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -80,8 +80,13 @@ def _cmd_run(args) -> int:
     # error; numpy's overflow warning would only repeat it
     with np.errstate(over="ignore"):
         trace = map_driver.run(config)
+    del config  # the sets and their cloud indexes are not needed for the trace text
     with _open_out(args.trace_out) as out:
-        out.write(map_driver.trace_to_json(trace))
+        text = map_driver.trace_to_json(trace)
+        # a text stream encodes each string it is given whole: 64 K slices
+        # keep it from holding a second copy of the trace
+        for i in range(0, len(text), 1 << 16):
+            out.write(text[i:i + (1 << 16)])
         out.write("\n")
     v = trace.verdict
     extras = []
@@ -120,7 +125,8 @@ def _cmd_export_sets(args) -> int:
     pairs = args.pairs or counterexample.max_safe_pairs(args.horizon)
     config = counterexample.make_config(sets, pairs, args.stop_step)
     with _open_out(args.out) as out:
-        out.write(render_json(map_driver.config_to_dict(config)) + "\n")
+        dump_json(map_driver.config_to_dict(config), out)
+        out.write("\n")
     return EXIT_OK
 
 

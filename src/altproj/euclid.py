@@ -262,13 +262,13 @@ class ProjectorSpec:
         return np.array([self._distance(q, tie_tol) for q in queries])
 
     def to_dict(self) -> dict:
-        """The JSON-object form that `spec_from_dict` reads back."""
+        """The JSON-object form that `spec_from_dict` reads back.  Array
+        fields stay the set's own float64 arrays, which
+        `serialize.render_json` renders as their lists and `json.dumps`
+        does not take."""
         kind, names = _KIND_OF[type(self)]
-        out = {"type": kind}
-        for name, f in zip(names, fields(self)):
-            value = getattr(self, f.name)
-            out[name] = value.tolist() if isinstance(value, np.ndarray) else value
-        return out
+        return {"type": kind, **{name: getattr(self, f.name)
+                                 for name, f in zip(names, fields(self))}}
 
 
 @dataclass(eq=False)

@@ -383,7 +383,7 @@ def config_to_dict(config: MapConfig) -> dict:
     return {
         "A": config.set_a.to_dict(),
         "B": config.set_b.to_dict(),
-        "start": config.start.tolist(),
+        "start": config.start,
         "max_iter": config.max_iter,
         "stop_step": config.stop_step,
         "tie_policy": config.tie_policy,

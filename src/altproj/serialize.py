@@ -3,10 +3,13 @@
 Floats are rendered as `%.17g`: 17 significant digits, which round-trip
 binary64 exactly and are byte-stable across runs.  `fmt17` renders one
 value and `render_json` one indented document, such as a run config or a
-trace.  Tables of floats -- the `gen` table and `render_json`'s arrays --
-are rendered by `_rows` a block at a time: `_format` gives each value of a
-block the bytes of `'%.17g' % v` with numpy, and each row is assembled from
-its fields and its literal separators.
+trace; `dump_json` writes the same text to a stream a piece at a time, as
+`export-sets` writes its config, so no large array is held as one string.
+Tables of floats -- the `gen` table and every array of a document, such as
+the point clouds of an exported config -- are rendered by `_rows` a block
+at a time: `_format` gives each value of a block the bytes of `'%.17g' % v`
+with numpy, and each row is assembled from its fields and its literal
+separators.
 """
 
 from __future__ import annotations
@@ -224,32 +227,61 @@ def _rows(fields: np.ndarray, pieces) -> str:
     return data.translate(None, b"\0").decode()
 
 
-def render_json(obj, _indent: int = 0) -> str:
-    """Render JSON with fmt17 floats.  Supports dict/list/str/bool/None/numbers."""
+def _array(obj: np.ndarray):
+    """The text of a nonempty float64 array of one or two axes in pieces:
+    its brackets and its rows, about `_BLOCK` values at a time."""
+    fields = obj.reshape(len(obj), -1).T
+    c, m = fields.shape
+    pieces = ("", ", ") if obj.ndim == 1 else ("[", *[", "] * (c - 1), "], ")
+    step = max(1, _BLOCK // c)
+    yield "["
+    for i in range(0, m, step):
+        block = _rows(fields[:, i:i + step], pieces)
+        yield block if i + step < m else block[:-2]  # no separator after the last item
+    yield "]"
+
+
+def _pieces(obj, indent: int, whole: bool):
+    """The text of `obj` as `render_json` renders it, in pieces: a float
+    array a block of rows at a time, or, when `whole`, as one piece."""
     if obj is None or obj is True or obj is False or isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt17(obj)
-    if isinstance(obj, np.ndarray):
+        yield json.dumps(obj)
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield fmt17(obj)
+    elif isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
-            fields = obj.reshape(len(obj), -1).T
-            c, m = fields.shape
-            pieces = ("", ", ") if obj.ndim == 1 else ("[", *[", "] * (c - 1), "], ")
-            step = max(1, _BLOCK // c)
-            blocks = [_rows(fields[:, i:i + step], pieces) for i in range(0, m, step)]
-            blocks[-1] = blocks[-1][:-2]  # no separator after the last item
-            return "".join(["[", *blocks, "]"])
-        return render_json(obj.tolist(), _indent)
-    if isinstance(obj, (list, tuple)):
-        items = [render_json(v, _indent) for v in obj]
-        return "[" + ", ".join(items) + "]"
-    if isinstance(obj, dict):
-        pad = " " * _indent
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, _indent + 2)}'
-            for k, v in obj.items()
-        )
-        return "".join(("{\n", inner, "\n", pad, "}"))  # copies `inner` once, not twice
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            blocks = _array(obj)
+            yield from ["".join(blocks)] if whole else blocks
+        else:
+            yield from _pieces(obj.tolist(), indent, whole)
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for i, v in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _pieces(v, indent, whole)
+        yield "]"
+    elif isinstance(obj, dict):
+        pad = " " * indent
+        yield "{\n"
+        for i, (k, v) in enumerate(obj.items()):
+            yield (",\n" if i else "") + f'{pad}  {json.dumps(str(k))}: '
+            yield from _pieces(v, indent + 2, whole)
+        yield "\n" + pad + "}"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def render_json(obj) -> str:
+    """Render JSON with fmt17 floats.  Supports dict/list/str/bool/None/numbers
+    and numpy arrays; an array takes the bytes of its `tolist()`."""
+    return "".join(_pieces(obj, 0, True))
+
+
+def dump_json(obj, stream) -> None:
+    """Write `render_json(obj)` to `stream` a piece at a time, so a large
+    array is never held as one string."""
+    for piece in _pieces(obj, 0, False):
+        stream.write(piece)

@@ -12,7 +12,7 @@ from altproj.euclid import (_BOUND_SLACK, DEFAULT_TIE_TOL, Ball, Box, DimensionM
                             PointCloud, Segment, Sphere, Union, _as_cloud, as_point)
 from altproj.finite_union import ConvergenceVerdict, classify
 from altproj.map_driver import MapConfig, MapTrace, _classify, _step
-from altproj.serialize import fmt17, render_json
+from altproj.serialize import _BLOCK, _rows, fmt17
 from altproj.spiral import HALF_PI, TWO_PI, BracketInvalid
 
 
@@ -110,6 +110,53 @@ def clip_leaf_bound(index, q: np.ndarray) -> np.ndarray:
     return bound
 
 
+# `serialize.render_json` as it was when it returned each array as one
+# string and each document as one join: the oracle for `render_json`, its
+# streamed writer `dump_json` and the `export-sets` config
+def render_json_oracle(obj, _indent: int = 0) -> str:
+    """Render JSON with fmt17 floats.  Supports dict/list/str/bool/None/numbers."""
+    if obj is None or obj is True or obj is False or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt17(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
+            fields = obj.reshape(len(obj), -1).T
+            c, m = fields.shape
+            pieces = ("", ", ") if obj.ndim == 1 else ("[", *[", "] * (c - 1), "], ")
+            step = max(1, _BLOCK // c)
+            blocks = [_rows(fields[:, i:i + step], pieces) for i in range(0, m, step)]
+            blocks[-1] = blocks[-1][:-2]  # no separator after the last item
+            return "".join(["[", *blocks, "]"])
+        return render_json_oracle(obj.tolist(), _indent)
+    if isinstance(obj, (list, tuple)):
+        items = [render_json_oracle(v, _indent) for v in obj]
+        return "[" + ", ".join(items) + "]"
+    if isinstance(obj, dict):
+        pad = " " * _indent
+        inner = ",\n".join(
+            f'{pad}  {json.dumps(str(k))}: {render_json_oracle(v, _indent + 2)}'
+            for k, v in obj.items()
+        )
+        return "".join(("{\n", inner, "\n", pad, "}"))  # copies `inner` once, not twice
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def as_lists(obj):
+    """`obj` with each numpy array in it replaced by its `tolist()`: the form
+    that `==` compares exactly, and that `to_dict` returned before it kept
+    array fields as arrays."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
 def write_csv_rows(report: sequence.SequenceReport, stream) -> None:
     """The row-at-a-time CSV writer: `sequence.write_csv` must write the same bytes."""
     stream.write(sequence.CSV_HEADER + "\n")
@@ -141,7 +188,7 @@ def records_to_json_obj(report: sequence.SequenceReport) -> list[dict]:
 def write_json_objects(report: sequence.SequenceReport, stream) -> None:
     """The object-at-a-time JSON writer: `sequence.write_json` must write the
     same bytes."""
-    stream.write(render_json(records_to_json_obj(report)) + "\n")
+    stream.write(render_json_oracle(records_to_json_obj(report)) + "\n")
 
 
 def rho(t: float) -> float:
@@ -202,7 +249,7 @@ def advance_with_full_bracket(alpha: float, t_guess: float) -> float:
 
 
 def render_json_compact(obj) -> str:
-    """`serialize.render_json` with objects on one line, items joined by ", "."""
+    """`render_json_oracle` with objects on one line, items joined by ", "."""
     if isinstance(obj, dict):
         inner = ", ".join(
             f"{json.dumps(str(k))}: {render_json_compact(v)}" for k, v in obj.items()
@@ -210,7 +257,7 @@ def render_json_compact(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(render_json_compact(v) for v in obj) + "]"
-    return render_json(obj)
+    return render_json_oracle(obj)
 
 
 def verdict_to_obj(seed: int, verdict: ConvergenceVerdict) -> dict:

@@ -19,16 +19,17 @@ import altproj
 from altproj import cli, counterexample, euclid, finite_union, map_driver, sequence, spiral  # noqa: F401  (wrap targets)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("module_name, path", [point[:2] for point in _tracer().WRAP_POINTS])
+@pytest.mark.parametrize("module_name, path", [point[:2] for point in _load(TRACER).WRAP_POINTS])
 def test_wrap_point_resolves(module_name, path):
     owner = getattr(altproj, module_name)
     for attr in path.split("."):
@@ -62,7 +63,7 @@ def test_alpha_chain_returns_angles_and_flag():
 def test_tracer_hooks_read_real_results():
     # the after-hooks of `ProjectorSpec.project` and `map_driver.run` read
     # fields of the results; run them on real ones
-    tracer = _tracer()
+    tracer = _load(TRACER)
     cloud = euclid.PointCloud([[0.0, 0.0], [0.6, 0.0]])
     for q, tie in (([0.3, 0.0], 1), ([0.9, 0.0], 0)):
         res = cloud.project(q)
@@ -93,14 +94,12 @@ def test_verify_reaches_its_wrap_points(monkeypatch):
                      "altproj.sequence.verify_nearest": 1}
 
 
-def test_union_batch_reaches_its_wrap_points(monkeypatch, tmp_path):
-    # `run_batch` reaches the scenario spans through `finite_union`'s globals,
-    # `check_theorem` the driver through `map_driver.run`, and every MAP step
-    # goes through `ProjectorSpec.project`, the tracer's one projection span
-    points = {point[2]: point[:2] for point in _tracer().WRAP_POINTS}
+def _spy(monkeypatch, spans) -> dict:
+    """Count the calls of each span through the attribute the tracer wraps;
+    the returned dict maps span name to calls so far."""
+    points = {point[2]: point[:2] for point in _load(TRACER).WRAP_POINTS}
     calls = {}
-    for span in ("finite_union.generate_scenario", "finite_union.check_theorem",
-                 "map_driver.run", "euclid.project"):
+    for span in spans:
         module_name, path = points[span]
         owner = getattr(altproj, module_name)
         *parents, attr = path.split(".")
@@ -113,6 +112,15 @@ def test_union_batch_reaches_its_wrap_points(monkeypatch, tmp_path):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+def test_union_batch_reaches_its_wrap_points(monkeypatch, tmp_path):
+    # `run_batch` reaches the scenario spans through `finite_union`'s globals,
+    # `check_theorem` the driver through `map_driver.run`, and every MAP step
+    # goes through `ProjectorSpec.project`, the tracer's one projection span
+    calls = _spy(monkeypatch, ("finite_union.generate_scenario", "finite_union.check_theorem",
+                               "map_driver.run", "euclid.project"))
     out = tmp_path / "batch.jsonl"
     assert cli.main(["union-batch", "--seeds", "3", "--dim", "3", "--members", "4",
                      "--out", str(out)]) == 0
@@ -120,6 +128,23 @@ def test_union_batch_reaches_its_wrap_points(monkeypatch, tmp_path):
     assert calls.pop("euclid.project") >= 2 * 3  # two per MAP iteration, one or more each
     assert calls == {"finite_union.generate_scenario": 3, "finite_union.check_theorem": 3,
                      "map_driver.run": 3}
+
+
+def test_counterexample_run_reaches_its_wrap_points(monkeypatch, tmp_path):
+    # the workload's set-up `export-sets` reaches the sequence, the sets and
+    # `config_to_dict` through module globals, and its `run` the reader, the
+    # driver, the projections and the trace writer
+    spans = _load(WORKLOADS).CounterexampleRun.reached
+    calls = _spy(monkeypatch, spans)
+    config, trace = tmp_path / "config.json", tmp_path / "trace.json"
+    assert cli.main(["export-sets", "--horizon", "200", "--stop-step", "1e-5",
+                     "--out", str(config)]) == 0
+    assert cli.main(["run", "--config", str(config), "--trace-out", str(trace)]) == 0
+    assert set(calls) == set(spans)
+    assert calls.pop("spiral.alpha_chain") >= 1 and calls.pop("euclid.project") >= 2
+    assert calls == {"cli.main": 2, "sequence.generate": 1, "counterexample.build": 1,
+                     "map_driver.config_to_dict": 1, "map_driver.config_from_dict": 1,
+                     "map_driver.run": 1, "map_driver.trace_to_json": 1}
 
 
 @pytest.mark.parametrize("module", [altproj, counterexample, euclid, finite_union, map_driver,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altproj
-from altproj import sequence
+from altproj import counterexample, map_driver, sequence
 from altproj.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -25,6 +25,8 @@ from altproj.cli import (
 )
 from altproj.map_driver import config_from_dict
 from altproj.sequence import SequenceReport, run_verification
+from altproj.serialize import dump_json
+from conftest import as_lists, render_json_oracle
 
 TWO_BOX_CONFIG = {
     "A": {"type": "box", "min": [0.0, 0.0], "max": [1.0, 1.0]},
@@ -526,6 +528,52 @@ def test_export_sets_disk_variant(tmp_path):
     obj = json.loads(config.read_text())
     assert obj["A"]["members"][1]["type"] == "ball"
     assert obj["max_iter"] == 10
+
+
+@pytest.mark.parametrize("variant", [counterexample.VARIANT_SPHERE, counterexample.VARIANT_DISK])
+@pytest.mark.parametrize("horizon, pairs, stop_step", [
+    (3, None, None), (101, None, None), (2001, None, None), (2001, 17, 0.0),
+])
+def test_export_sets_writes_the_list_oracle_bytes(tmp_path, variant, horizon, pairs, stop_step):
+    # the config rendered value by value from its lists, the bytes
+    # `export-sets` wrote before `to_dict` kept arrays
+    out = tmp_path / "sets.json"
+    argv = ["export-sets", "--horizon", str(horizon), "--variant", variant, "--out", str(out)]
+    argv += ["--pairs", str(pairs)] if pairs else []
+    argv += ["--stop-step", repr(stop_step)] if stop_step is not None else []
+    assert main(argv) == EXIT_OK
+    sets = counterexample.build(horizon, variant)
+    config = counterexample.make_config(sets, pairs or counterexample.max_safe_pairs(horizon),
+                                        1e-6 if stop_step is None else stop_step)
+    expected = render_json_oracle(as_lists(map_driver.config_to_dict(config))) + "\n"
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("variant", [counterexample.VARIANT_SPHERE, counterexample.VARIANT_DISK])
+def test_dump_json_of_one_point_clouds_is_the_list_oracle(variant):
+    # horizon 2 leaves one point per cloud and no safe pair, so `export-sets`
+    # refuses it; the library config of one pair still renders
+    sets = counterexample.build(2, variant)
+    config = map_driver.MapConfig(sets.set_a, sets.set_b, sets.report.points[0], max_iter=1)
+    out = io.StringIO()
+    dump_json(map_driver.config_to_dict(config), out)
+    assert out.getvalue() == render_json_oracle(as_lists(map_driver.config_to_dict(config)))
+    assert main(["export-sets", "--horizon", "2", "--out", os.devnull]) == EXIT_USAGE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["export-sets", "--horizon", "2001"], ["gen", "--n", "2000"]])
+def test_a_full_device_gives_one_line_and_exit_3(argv):
+    # the output is many buffers long, so the write fails partway through it
+    src = str(Path(altproj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "altproj.cli", *argv, "--out", "/dev/full"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_IO
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error:"), proc.stderr
 
 
 def test_export_sets_rejects_unsafe_pairs(tmp_path, capsys):

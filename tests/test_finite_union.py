@@ -16,7 +16,7 @@ from altproj.finite_union import (
     generate_scenario,
     run_batch,
 )
-from conftest import distance, verdict_line
+from conftest import as_lists, distance, verdict_line
 
 
 def test_scenario_is_deterministic():
@@ -26,7 +26,7 @@ def test_scenario_is_deterministic():
     assert np.array_equal(s1.common_point, s2.common_point)
     assert len(s1.a_members) == len(s2.a_members)
     for m1, m2 in zip(s1.a_members + s1.b_members, s2.a_members + s2.b_members):
-        assert m1.to_dict() == m2.to_dict()
+        assert as_lists(m1.to_dict()) == as_lists(m2.to_dict())
 
 
 def test_scenario_members_contain_planted_point():

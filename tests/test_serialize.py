@@ -1,5 +1,6 @@
 """The block formatter of `serialize` against Python's `'%.17g'`, and the
-table writers built on it against their value-at-a-time references."""
+table and document writers built on it against their value-at-a-time
+references."""
 
 import io
 import math
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from altproj.sequence import SequenceReport, write_csv, write_json
-from altproj.serialize import _format, render_json
-from conftest import write_csv_rows, write_json_objects
+from altproj.serialize import _BLOCK, _format, dump_json, render_json
+from conftest import render_json_oracle, write_csv_rows, write_json_objects
 
 
 def texts(values) -> list[str]:
@@ -147,3 +149,67 @@ def test_writers_of_edge_values_reject_non_finite(write):
         bad = SequenceReport(report.alphas, report.rhos, report.epss, points)
         with pytest.raises(ValueError, match=f"^cannot serialize a non-finite value {message}$"):
             write(bad, io.StringIO())
+
+
+class _Pieces(io.StringIO):
+    """A text stream that also records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def _dumped(obj) -> _Pieces:
+    out = _Pieces()
+    dump_json(obj, out)
+    return out
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}}, [[], {}, ()], -0.0, 0, -(2**70), "x\n\"", None, True,
+    np.array([-0.0]), np.array([[-0.0, 0.0]]), np.zeros(0), np.zeros((0, 2)), np.zeros((2, 0)),
+    np.arange(3), np.float64(-0.0), np.int64(-5),
+    {"a": {"b": [1, -0.0, None, False, "s", {}], "c": np.array([[0.5, -0.0]])},
+     "d": [np.arange(3.0), (1.5, [np.zeros(0)])], "": {"e": {"f": []}}},
+    # several blocks: the writer streams each, `render_json` joins them
+    np.linspace(-1.0, 1.0, 3 * _BLOCK + 7),
+    {"cloud": np.linspace(-1.0, 1.0, 2 * _BLOCK + 6).reshape(-1, 2), "n": 7},
+    np.linspace(0.0, 1.0, 3 * (_BLOCK + 1)).reshape(-1, 3),
+])
+def test_dump_json_writes_what_render_json_renders(obj):
+    assert _dumped(obj).getvalue() == render_json(obj) == render_json_oracle(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+                 elements=st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=20))
+def test_dump_json_and_render_json_equal_the_oracle(obj):
+    assert _dumped(obj).getvalue() == render_json(obj) == render_json_oracle(obj)
+
+
+def test_dump_json_writes_a_large_array_a_block_at_a_time():
+    cloud = np.linspace(-1.0, 1.0, 8 * _BLOCK).reshape(-1, 2)
+    out = _dumped({"coords": cloud})
+    assert len(out.sizes) > 4
+    assert max(out.sizes) < len(out.getvalue()) / 3
+
+
+@pytest.mark.parametrize("obj, error", [
+    (np.array([1.0, math.inf]), ValueError), ({"a": [np.array([[math.nan]])]}, ValueError),
+    ({"a": object()}, TypeError),
+])
+def test_dump_json_rejects_what_render_json_rejects(obj, error):
+    with pytest.raises(error):
+        render_json(obj)
+    with pytest.raises(error):
+        dump_json(obj, io.StringIO())
