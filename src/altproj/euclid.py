@@ -24,11 +24,12 @@ once: `_CloudIndex.search_many` runs the same distances and cell test
 vectorised over the queries, each on its predicted point's leaf, and
 settles the queries near their cell's faces by passes of bounded size
 over the other leaves within reach of any of them; a union's other members
-give their distances for the whole batch, and only a row it cannot settle,
-a tie, a misprediction or a member within `tie_tol`, goes to the scalar
-pass.  The fatal cases are projecting the center of a sphere, where the
-minimizer set is the whole sphere, which raises `DegenerateProjection`, and
-a distance that overflows float64, which raises ValueError.
+give their distances for the whole batch.  The batch counts its rows up to
+the first it cannot settle, a tie, a misprediction or a member within
+`tie_tol`, and the driver projects that row alone.  The fatal cases are
+projecting the center of a sphere, where the minimizer set is the whole
+sphere, which raises `DegenerateProjection`, and a distance that overflows
+float64, which raises ValueError.
 
 Every query is a pure function of its inputs.  A point cloud memoises two
 things, its index (built on the first query, with the leaf of each point
@@ -251,15 +252,10 @@ class ProjectorSpec:
     def _nearest(self, q: np.ndarray, tie_tol: float) -> ProjectionResult:
         raise NotImplementedError
 
-    def _distance(self, q: np.ndarray, tie_tol: float) -> float:
-        """`_nearest(q, tie_tol).distance`; a set whose distance costs less
-        than its nearest points overrides it with the same expression."""
-        return self._nearest(q, tie_tol).distance
-
     def _distances(self, queries: np.ndarray, tie_tol: float) -> np.ndarray:
-        """`_distance` of each row of `queries`; a set that computes them
-        vectorised overrides it with the same bits."""
-        return np.array([self._distance(q, tie_tol) for q in queries])
+        """`_nearest(q, tie_tol).distance` of each row q of `queries`; a set
+        that computes them vectorised overrides it with the same bits."""
+        return np.array([self._nearest(q, tie_tol).distance for q in queries])
 
     def to_dict(self) -> dict:
         """The JSON-object form that `spec_from_dict` reads back.  Array
@@ -284,11 +280,6 @@ class _Round(ProjectorSpec):
         if not (self.radius > 0.0):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         self.dim = self.center.size
-
-    def _distance(self, q, tie_tol):
-        # `_nearest`'s distance, without its nearest point: the same
-        # difference, norm and `_gap`, the set's distance at norm d
-        return self._gap(_norm(q - self.center))
 
     def _distances(self, queries, tie_tol):
         # `_dists(q[None], center)[0]` is `_norm(q - center)` bit for bit,
@@ -566,8 +557,9 @@ class _CloudIndex:
         every leaf against each row of the pass, and one `_dists` call
         measures every other leaf whose bound does not exceed the row's
         limit; the row hits when each of those distances exceeds it.  A
-        row that does not hit is undecided, not refuted: `search` answers
-        it.  The remembered slot is left alone.
+        row that does not hit is undecided, not refuted: a point stored
+        twice never hits, yet `project` deduplicates it to one answer.
+        The remembered slot is left alone.
         """
         k = len(queries)
         width = self.ids.shape[1]
@@ -671,18 +663,17 @@ def _confirm(spec: ProjectorSpec, cloud: PointCloud, queries: np.ndarray,
     """How many leading rows of `queries` have as their projection onto
     `spec` the one point `cloud.points[expect[j]]`, bit for bit.
 
-    `spec` is `cloud` or a union with `cloud` as a member.  A row that the
-    cloud's `search_many` hits, a row near its cell's faces included, is
-    settled on a bare cloud; in a union, every other member's distance must
-    also exceed the cloud's minimum plus `tie_tol`, so that the union
-    answers with the cloud's one point.  Each member gives its distances
-    for the whole batch from `_distances`, bit for bit its `_distance` row
-    by row.  Only the rows left unsettled, ties, mispredictions and rows
-    with another member within `tie_tol`, loop in Python: each is projected
-    by `spec._nearest`, the scalar pass itself.
-    So a confirmed row is exactly what `project` returns: single-valued, and
-    the expected point.  The count stops at the first row that is not
-    confirmed.
+    `spec` is `cloud` or a union with `cloud` as a member.  A row counts
+    when the cloud's `search_many` hits it, a row near its cell's faces
+    included; in a union, every other member's distance must also exceed
+    the cloud's minimum plus `tie_tol`, so that the union answers with the
+    cloud's one point.  Each member gives its distances for the whole batch
+    from `_distances`, bit for bit its `_nearest(q, tie_tol).distance` row
+    by row.  So a counted row is exactly what `project` returns:
+    single-valued, and the expected point.  The count stops at the first
+    row that is not counted, a tie, a misprediction or a row with another
+    member within `tie_tol`; the caller projects that row one query at a
+    time.  The cloud remembers the slot of the last counted row.
     """
     index = cloud._index
     hit, dmin, slot = index.search_many(queries, expect, tie_tol)
@@ -691,14 +682,10 @@ def _confirm(spec: ProjectorSpec, cloud: PointCloud, queries: np.ndarray,
         for m in spec.members:
             if m is not cloud:
                 hit &= m._distances(queries, tie_tol) > limit
-    for j in np.flatnonzero(~hit).tolist():
-        cands = spec._nearest(queries[j], tie_tol).candidates
-        if (cands is None or len(cands) != 1
-                or cands[0].tobytes() != cloud.points[expect[j]].tobytes()):
-            return j
-    if hit[-1]:  # else the last row's scalar search has set the slot
-        index._slot = int(slot[-1])
-    return len(queries)
+    count = len(queries) if hit.all() else int(hit.argmin())
+    if count:
+        index._slot = int(slot[count - 1])
+    return count
 
 
 #: Set type -> (class, JSON field names in constructor order).

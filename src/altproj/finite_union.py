@@ -151,9 +151,9 @@ def check_theorem(scenario: UnionScenario, tol: float = DEFAULT_TOL) -> Converge
     in_intersection = False
     if limit is not None:
         # the limit is a MAP iterate, a finite float64 point of the members'
-        # dimension, so `_distance` measures it without `project`'s query checks
+        # dimension, so `_nearest` measures it without `project`'s query checks
         in_intersection = all(
-            min(m._distance(limit, DEFAULT_TIE_TOL) for m in members) <= tol
+            min(m._nearest(limit, DEFAULT_TIE_TOL).distance for m in members) <= tol
             for members in (scenario.a_members, scenario.b_members)
         )
     return ConvergenceVerdict(

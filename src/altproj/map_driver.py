@@ -242,9 +242,8 @@ def _pairs(config: MapConfig, events: list, batches: list):
     arrays cost more time than the passes they save.  After a
     miss, batches wait until a `_step` answer of each set repeats its last
     stride, then start again at k = 1: a walk whose stride keeps changing
-    would otherwise pay a failed batch, and its scalar fallback on the very
-    query `_step` then projects, for every pair.  `batches[0]` counts the
-    batches.
+    would otherwise pay a failed batch for every pair.  `batches[0]`
+    counts the batches.
     """
     set_a, set_b, tol = config.set_a, config.set_b, config.tie_tol
     walk_a = _walk(set_a)

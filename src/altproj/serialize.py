@@ -241,9 +241,9 @@ def _array(obj: np.ndarray):
     yield "]"
 
 
-def _pieces(obj, indent: int, whole: bool):
+def _pieces(obj, indent: int):
     """The text of `obj` as `render_json` renders it, in pieces: a float
-    array a block of rows at a time, or, when `whole`, as one piece."""
+    array a block of rows at a time."""
     if obj is None or obj is True or obj is False or isinstance(obj, str):
         yield json.dumps(obj)
     elif isinstance(obj, (int, np.integer)):
@@ -252,23 +252,22 @@ def _pieces(obj, indent: int, whole: bool):
         yield fmt17(obj)
     elif isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
-            blocks = _array(obj)
-            yield from ["".join(blocks)] if whole else blocks
+            yield from _array(obj)
         else:
-            yield from _pieces(obj.tolist(), indent, whole)
+            yield from _pieces(obj.tolist(), indent)
     elif isinstance(obj, (list, tuple)):
         yield "["
         for i, v in enumerate(obj):
             if i:
                 yield ", "
-            yield from _pieces(v, indent, whole)
+            yield from _pieces(v, indent)
         yield "]"
     elif isinstance(obj, dict):
         pad = " " * indent
         yield "{\n"
         for i, (k, v) in enumerate(obj.items()):
             yield (",\n" if i else "") + f'{pad}  {json.dumps(str(k))}: '
-            yield from _pieces(v, indent + 2, whole)
+            yield from _pieces(v, indent + 2)
         yield "\n" + pad + "}"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -277,11 +276,11 @@ def _pieces(obj, indent: int, whole: bool):
 def render_json(obj) -> str:
     """Render JSON with fmt17 floats.  Supports dict/list/str/bool/None/numbers
     and numpy arrays; an array takes the bytes of its `tolist()`."""
-    return "".join(_pieces(obj, 0, True))
+    return "".join(_pieces(obj, 0))
 
 
 def dump_json(obj, stream) -> None:
     """Write `render_json(obj)` to `stream` a piece at a time, so a large
     array is never held as one string."""
-    for piece in _pieces(obj, 0, False):
+    for piece in _pieces(obj, 0):
         stream.write(piece)

@@ -670,30 +670,15 @@ def test_face_test_holds_where_squares_are_subnormal():
     assert not hit[0]
 
 
-def test_distance_is_the_nearest_distance():
-    # `_distance` answers a union's speculative batch in place of `_nearest`;
-    # the two must agree bit for bit, also inside a ball, on its boundary
-    # and at a center
-    rng = np.random.default_rng(2718)
-    for _ in range(500):
-        dim = int(rng.integers(1, 5))
-        spec = _random_primitive(rng, dim)
-        queries = [rng.normal(size=dim) * 3.0]
-        if isinstance(spec, (Sphere, Ball)):
-            queries += [spec.center.copy(), spec.center + 0.1 * rng.normal(size=dim),
-                        spec.center + np.eye(dim)[0] * spec.radius]
-        for q in queries:
-            assert spec._distance(q, 1e-9) == spec._nearest(q, 1e-9).distance
-
-
 @given(kind=st.sampled_from([Sphere, Ball]), dim=st.integers(1, 4),
        scale=st.integers(-20, 30), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_distances_are_distance_row_by_row(kind, dim, scale, seed):
     # `_confirm` takes a round member's distances for a whole batch from
-    # `_distances`; each row must be its `_distance`, bit for bit, at the
-    # center, exactly on the radius, inside and outside, and a ball's gap
-    # is max(d - radius, 0.0) with a positive zero
+    # `_distances`; each row must be its `_nearest(...).distance`, bit for
+    # bit, at the center, exactly on the radius, on the radius along an
+    # axis, near the center, inside and outside, and a ball's gap is
+    # max(d - radius, 0.0) with a positive zero
     rng = np.random.default_rng(seed)
     size = 2.0 ** scale
     center = rng.normal(size=dim) * size
@@ -703,9 +688,11 @@ def test_distances_are_distance_row_by_row(kind, dim, scale, seed):
     toward = (rim - center) * np.concatenate([rng.uniform(0.0, 1.0, 4),
                                               rng.uniform(1.0, 3.0, 4)])[:, None]
     queries = np.vstack([center, rim, center + toward,
-                         center + rng.normal(size=(8, dim)) * size])
+                         center + rng.normal(size=(8, dim)) * size,
+                         center + 0.1 * rng.normal(size=dim) * size,
+                         center + np.eye(dim)[0] * radius])
     got = spec._distances(queries, 1e-9)
-    want = [spec._distance(q, 1e-9) for q in queries]
+    want = [spec._nearest(q, 1e-9).distance for q in queries]
     assert got.tobytes() == np.array(want).tobytes()
     assert want[1] == 0.0 and want[0] == (radius if kind is Sphere else 0.0)
     for q, dist in zip(queries, want):

@@ -187,15 +187,29 @@ def test_prediction_past_the_end_of_the_cloud(caplog):
     assert counts[1] > 20
 
 
-@pytest.mark.parametrize("policy", [TIE_ERROR, TIE_LOWEST_INDEX])
-def test_tie_inside_a_batch(policy, caplog):
+def _tie_config(policy):
     # 1 - 3 * 2^-24 lies 2^-24 from b_11 = x_23, as a_12 = x_24 does: a tie
     # at pair 12, inside the batch of pairs 9-16
     a, b = _line_sets()
     a = np.concatenate([a, [[1.0 - 3.0 * 2.0 ** -24, 0.0]]])
-    config = _line_config(PointCloud(a), PointCloud(b), max_iter=19, stop_step=0.0,
-                          tie_policy=policy)
-    got, _ = _check(config, caplog)
+    return _line_config(PointCloud(a), PointCloud(b), max_iter=19, stop_step=0.0,
+                        tie_policy=policy)
+
+
+def _center_config(radius):
+    # b_11 = x_23 is the sphere's center at pair 12; the cloud's answer lies
+    # 2^-24 away.  A smaller sphere is nearer there and the projection
+    # degenerates; a larger one leaves the cloud's answer and later lies
+    # nearer than the cloud, so the walk leaves the cloud.
+    a, b = _line_sets()
+    sphere = Sphere(_line(24)[23], radius * 2.0 ** -24)
+    return _line_config(Union([PointCloud(a), sphere]), PointCloud(b), max_iter=19,
+                        stop_step=0.0)
+
+
+@pytest.mark.parametrize("policy", [TIE_ERROR, TIE_LOWEST_INDEX])
+def test_tie_inside_a_batch(policy, caplog):
+    got, _ = _check(_tie_config(policy), caplog)
     if policy == TIE_ERROR:
         assert got[0] is ProjectionTie and got[2] == 12
     else:
@@ -204,19 +218,60 @@ def test_tie_inside_a_batch(policy, caplog):
 
 @pytest.mark.parametrize("radius", [0.5, 1.5])
 def test_sphere_center_query_inside_a_batch(radius, caplog):
-    # b_11 = x_23 is the sphere's center at pair 12; the cloud's answer lies
-    # 2^-24 away.  A smaller sphere is nearer there and the projection
-    # degenerates; a larger one leaves the cloud's answer and later lies
-    # nearer than the cloud, so the walk leaves the cloud.
-    a, b = _line_sets()
-    sphere = Sphere(_line(24)[23], radius * 2.0 ** -24)
-    config = _line_config(Union([PointCloud(a), sphere]), PointCloud(b), max_iter=19,
-                          stop_step=0.0)
-    got, _ = _check(config, caplog)
+    got, _ = _check(_center_config(radius), caplog)
     if radius < 1.0:
         assert got[0] is DegenerateProjection and "iteration 12" in got[1]
     else:
         assert isinstance(got[0], str)
+
+
+@pytest.mark.parametrize("config", [_tie_config(TIE_ERROR), _tie_config(TIE_LOWEST_INDEX),
+                                    _center_config(0.5), _center_config(1.5)],
+                         ids=["tie-error", "tie-lowest-index", "center-small", "center-large"])
+def test_confirm_projects_no_row_alone(config, monkeypatch, caplog):
+    # `_confirm` stops its count at the first row its batch cannot settle
+    # and leaves that row to `_step`, so each query is projected once: no
+    # scalar projection runs inside `_confirm`.
+    confirms = inside = scalar = 0
+    confirm = euclid._confirm
+
+    def spying_confirm(*args):
+        nonlocal confirms, inside
+        confirms += 1
+        inside += 1
+        try:
+            return confirm(*args)
+        finally:
+            inside -= 1
+
+    def spying(nearest):
+        def spying_nearest(self, q, tie_tol):
+            nonlocal scalar
+            scalar += inside > 0
+            return nearest(self, q, tie_tol)
+        return spying_nearest
+
+    monkeypatch.setattr(euclid, "_confirm", spying_confirm)
+    for kind in (PointCloud, Union):
+        monkeypatch.setattr(kind, "_nearest", spying(kind._nearest))
+    _check(config, caplog)
+    assert confirms > 0 and scalar == 0
+
+
+@pytest.mark.parametrize("policy", [TIE_ERROR, TIE_LOWEST_INDEX])
+def test_point_stored_twice_inside_a_batch(policy, caplog):
+    # a_12 = x_24 is stored again at the end of A.  The batch of pairs 9-16
+    # cannot settle pair 12, whose nearest points are the two copies, but
+    # `project` deduplicates them to one answer: `_step` projects pair 12
+    # with no event under either policy, and the walk goes on from the
+    # first copy.
+    a, b = _line_sets()
+    a = np.concatenate([a, a[12:13]])
+    config = _line_config(PointCloud(a), PointCloud(b), max_iter=19, stop_step=0.0,
+                          tie_policy=policy)
+    got, (batches, speculated, stepped) = _check(config, caplog)
+    assert got[1] == [] and speculated + stepped == 19 and batches >= 1 and stepped > 2
+    assert run(config).a[12].tobytes() == a[12].tobytes()
 
 
 def test_mispredicted_walks_batch_rarely(report_10k, caplog):
@@ -264,66 +319,53 @@ def test_run_logs_its_batches(report_300, caplog):
 def test_confirmed_batches_do_no_row_by_row_work(monkeypatch, caplog):
     # A confirmed batch takes its step norms from `_dists` and the circle's
     # distances from `_Round._distances`: `run` calls `_norm` only for its
-    # `_step` pairs, two each, and `_Round._distance` runs only for rows the
-    # cloud's batch search leaves to the scalar pass.  One row at a time,
-    # that was two `_norm` calls per pair and a `_distance` per settled row.
-    norms = distances = unsettled = 0
-    norm, distance = euclid._norm, euclid._Round._distance
-    search_many = euclid._CloudIndex.search_many
+    # `_step` pairs, two each, and the circle's `_nearest` runs only inside
+    # those `_step` projections, once per set.  One row at a time, that was
+    # two `_norm` calls per pair and a circle distance per row.
+    norms = rounds = 0
+    norm = euclid._norm
 
     def counting_norm(v):
         nonlocal norms
         norms += sys._getframe(1).f_code is map_driver.run.__code__
         return norm(v)
 
-    def counting_distance(self, q, tie_tol):
-        nonlocal distances
-        distances += 1
-        return distance(self, q, tie_tol)
-
-    def counting_search_many(self, queries, expect, tie_tol):
-        nonlocal unsettled
-        hit, dmin, slot = search_many(self, queries, expect, tie_tol)
-        unsettled += int(np.count_nonzero(~hit))
-        return hit, dmin, slot
+    def counting(nearest):
+        def counting_nearest(self, q, tie_tol):
+            nonlocal rounds
+            rounds += 1
+            return nearest(self, q, tie_tol)
+        return counting_nearest
 
     monkeypatch.setattr(euclid, "_norm", counting_norm)
-    monkeypatch.setattr(euclid._Round, "_distance", counting_distance)
-    monkeypatch.setattr(euclid._CloudIndex, "search_many", counting_search_many)
+    for kind in euclid._Round.__subclasses__():
+        monkeypatch.setattr(kind, "_nearest", counting(kind._nearest))
     sets = counterexample.build(2001)
     with caplog.at_level(logging.DEBUG, logger=map_driver.log.name):
         trace = counterexample.run_corollary(sets, counterexample.max_safe_pairs(2001))
     batches, speculated, stepped = (int(c) for c in _LOG.findall(caplog.text)[-1])
     assert len(trace.a) == 1000 and speculated + stepped == 1000 and batches >= 1
-    assert norms <= 2 * stepped and distances <= unsettled
+    assert norms <= 2 * stepped and rounds <= 2 * stepped
 
 
 @pytest.mark.parametrize("horizon", [2001, 10_001])
 def test_rows_near_a_cell_face_stay_in_the_batch(horizon, monkeypatch, caplog):
     # A batch row that fails only the cell test is settled by the batch's
-    # own pass over the neighbouring leaves.  A scalar search is left for
-    # each `_step` projection, two per pair, and for the first row of each
-    # batch that stopped short.  Sending those rows to the scalar pass
-    # took 88 searches at horizon 2 001 and 448 at 10 001.
-    searches = short = 0
-    search, confirm = euclid._CloudIndex.search, euclid._confirm
+    # own pass over the neighbouring leaves.  A scalar search is left only
+    # for each `_step` projection, two per pair.  Sending those rows to a
+    # scalar search took 88 searches at horizon 2 001 and 448 at 10 001.
+    searches = 0
+    search = euclid._CloudIndex.search
 
     def counting_search(self, q, tie_tol):
         nonlocal searches
         searches += 1
         return search(self, q, tie_tol)
 
-    def counting_confirm(spec, cloud, queries, expect, tie_tol):
-        nonlocal short
-        m = confirm(spec, cloud, queries, expect, tie_tol)
-        short += m < len(queries)
-        return m
-
     monkeypatch.setattr(euclid._CloudIndex, "search", counting_search)
-    monkeypatch.setattr(euclid, "_confirm", counting_confirm)
     sets = counterexample.build(horizon)
     with caplog.at_level(logging.DEBUG, logger=map_driver.log.name):
         trace = counterexample.run_corollary(sets, counterexample.max_safe_pairs(horizon))
     batches, speculated, stepped = (int(c) for c in _LOG.findall(caplog.text)[-1])
     assert len(trace.a) == speculated + stepped == horizon // 2 and batches >= 1
-    assert searches <= 2 * stepped + short
+    assert searches <= 2 * stepped
