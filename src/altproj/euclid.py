@@ -10,26 +10,25 @@ distance is within `tie_tol` of the optimum, and flags multivaluedness
 instead of silently picking a representative.  Every query is one pass over
 the set, and one type, `ProjectionResult`, carries its outcome from each
 set's pass through unions and `project` to the caller.  Point clouds answer
-it through a lazily built leaf index.  The leaf of the cloud's previous
-nearest point gives an upper bound on the minimum, its smallest distance.
-When the ball of that radius plus `tie_tol` lies inside the leaf's k-d cell
-(the ball-within-bounds test of Friedman, Bentley and Finkel, ACM TOMS
-1977), that leaf alone answers; otherwise one batch visits every leaf whose
-box lies within that radius, the smaller of the remembered leaf's minimum
-and that of the leaf nearest the query.  Every distance to a cloud point
-is the root of `_sq_dists`, the one sum of squared coordinate differences,
-so either way the index returns exactly what a full scan would.  For the MAP
-driver's speculative batches, `_confirm` checks many predicted answers at
-once: `_CloudIndex.search_many` runs the same distances and cell test
-vectorised over the queries, each on its predicted point's leaf, and
-settles the queries near their cell's faces by passes of bounded size
-over the other leaves within reach of any of them; a union's other members
-give their distances for the whole batch.  The batch counts its rows up to
-the first it cannot settle, a tie, a misprediction or a member within
-`tie_tol`, and the driver projects that row alone.  The fatal cases are
-projecting the center of a sphere, where the minimizer set is the whole
-sphere, which raises `DegenerateProjection`, and a distance that overflows
-float64, which raises ValueError.
+it through a lazily built leaf index with one search, `_CloudIndex.search`,
+which takes a batch of queries, each with a start leaf.  The start leaf's
+minimum bounds the cloud's minimum above.  When the ball of that radius
+plus `tie_tol` lies inside the leaf's k-d cell (the ball-within-bounds test
+of Friedman, Bentley and Finkel, ACM TOMS 1977), that leaf alone answers;
+otherwise the query's face pass measures every other leaf whose box lies
+within that radius, lowered to the minimum of the leaf nearest the query
+when that is smaller.  Every distance to a cloud point is the root of
+`_sq_dists`, the one sum of squared coordinate differences, so either way
+the index returns exactly what a full scan would.  A projection is a batch
+of one, started from the leaf of the cloud's previous nearest point.  For
+the MAP driver's speculative batches, `_confirm` checks many predicted
+answers at once, each row started from its predicted point's leaf; a
+union's other members give their distances for the whole batch.  The batch
+counts its rows up to the first it cannot settle, a tie, a misprediction or
+a member within `tie_tol`, and the driver projects that row alone.  The
+fatal cases are projecting the center of a sphere, where the minimizer set
+is the whole sphere, which raises `DegenerateProjection`, and a distance
+that overflows float64, which raises ValueError.
 
 Every query is a pure function of its inputs.  A point cloud memoises two
 things, its index (built on the first query, with the leaf of each point
@@ -61,8 +60,8 @@ _UNIT_TOL = 1e-12
 # never prune a leaf holding a point at or below the pruning threshold.
 _BOUND_SLACK = 1.0 - 8.0 * np.finfo(np.float64).eps
 
-#: Most leaf bounds one `bounds` call of `search_many` computes: its face
-#: rows are bounded this many leaves' worth at a time, so the pass's
+#: Most leaf bounds one `bounds` call of `_CloudIndex.search` computes: its
+#: face rows are bounded this many leaves' worth at a time, so the pass's
 #: memory does not grow with the batch.
 _BOUNDS_PER_PASS = 1 << 18
 
@@ -442,8 +441,7 @@ class _CloudIndex:
     Points are split at the median into leaf buckets of `LEAF_SIZE`, stored
     permuted and contiguous as `(L, width, d)`, with per-leaf bounding boxes
     `lo`/`hi`, kept transposed, `(d, L)`: `bounds`, the one bound pass of
-    every exact search (`search`, `search_many` and
-    `sequence.verify_nearest`), then
+    both exact searches (`search` and `sequence.verify_nearest`), then
     works on contiguous rows, about twice as fast as on `(L, d)`.
     The last bucket is topped up with repeats of its final point, which
     change no minimum, and whose repeated index is dropped from the
@@ -476,116 +474,84 @@ class _CloudIndex:
 
     @cached_property
     def leaf_of(self) -> np.ndarray:
-        """Each original index's leaf, built on the first `search_many`."""
+        """Each original index's leaf, built on the first batch `_confirm`
+        checks."""
         leaf_of = np.empty(self.ids.size, dtype=np.int32)  # the top-up slots go unused
         leaf_of[self.ids] = np.arange(len(self.ids), dtype=np.int32)[:, None]
         return leaf_of
 
-    def search(self, q: np.ndarray, tie_tol: float) -> tuple[float, list]:
-        """The minimum distance from `q` and the sorted original indices of
-        every point within `tie_tol` of it.
+    def search(self, queries: np.ndarray, leaves: np.ndarray, tie_tol: float):
+        """Each row of `queries` measured on its start leaf `leaves[j]`, and
+        on every other leaf that may hold a point within `tie_tol` of the
+        row's minimum.
 
-        `_dists` runs first on the leaf of the remembered slot alone, and
-        that leaf's minimum is `reach`, an upper bound on the cloud's
-        minimum whatever the previous query was.  Every nearest point then
-        lies within `reach + tie_tol` of `q`.  When that ball lies inside
-        the leaf's cell, the leaf holds every nearest point, and no other
-        leaf is visited.  The test is exact in floating point: rounding is
-        monotone, so a point on or beyond a face has a computed difference
-        on that axis of at least the computed face gap g, a computed square
-        of at least g * g as computed, and a computed distance of at least
-        `sqrt(g * g)` as computed.  The smallest gap is therefore taken
-        through that square and root and must exceed `reach + tie_tol`.
-        (For normal squares the root returns g itself; where g * g is
-        subnormal it may fall below g by far more than a few ulps.)  A query
-        outside the cell has a negative gap, and the same argument bounds
-        `reach` below by its root, since the leaf's points lie in the cell,
-        so the test fails as it must.
+        Returns `(dmin, slot, lone, blocks)`.  One `_dists` call on the
+        gathered `(k, width, d)` block measures every row's start leaf,
+        whose minimum `dmin[j]` lies at slot `slot[j]`, an index into
+        `ids.ravel()`; it bounds the cloud's minimum above.  Every nearest
+        point then lies within the row's limit `dmin[j] + tie_tol`.  When
+        the ball of that radius lies inside the start leaf's cell, that leaf
+        holds every nearest point.  The test is exact in floating point:
+        rounding is monotone, so a point on or beyond a face has a computed
+        difference on that axis of at least the computed face gap g, a
+        computed square of at least g * g as computed, and a computed
+        distance of at least `sqrt(g * g)` as computed.  The smallest gap is
+        therefore taken through that square and root and must exceed the
+        limit.  (For normal squares the root returns g itself; where g * g
+        is subnormal it may fall below g by far more than a few ulps.)  A
+        query outside the cell has a negative gap, and the same argument
+        bounds `dmin[j]` below by its root, since the leaf's points lie in
+        the cell, so the test fails as it must.
 
-        Otherwise `bounds` bounds every leaf's box against q, a zero-width
-        box, in one vectorised pass.  The leaf with the smallest bound
-        usually holds a far nearer point than the remembered leaf when the
-        query has jumped, so its minimum, when smaller, tightens the
-        threshold; either minimum is the distance of a point of the cloud,
-        so `threshold + tie_tol` still bounds the minimum and all of its
-        ties.  One batch then visits every leaf whose bound does not exceed
-        it.  The remembered slot only narrows the work, so no result depends
-        on it.
-        """
-        width = self.ids.shape[1]
-        leaf = self._slot // width
-        take = [leaf]
-        dists = _dists(self.points[leaf], q)
-        ids = self.ids[leaf]
-        best = int(dists.argmin())
-        limit = float(dists[best]) + tie_tol
-        # the smallest gap from q to a face, in Python floats: on d-vectors
-        # that is twice as fast as the same subtractions in numpy
-        at = q.tolist()
-        gap = min(*map(operator.sub, at, self.cell_lo[leaf].tolist()),
-                  *map(operator.sub, self.cell_hi[leaf].tolist(), at))
-        if math.sqrt(gap * gap) <= limit:
-            bound = self.bounds(q, q)
-            near = int(bound.argmin())
-            if near != leaf:
-                limit = min(limit, float(_dists(self.points[near], q).min()) + tie_tol)
-            take = np.flatnonzero(bound <= limit)
-            # `take` gathers faster than fancy indexing
-            dists = _dists(self.points.take(take, axis=0).reshape(-1, q.size), q)
-            ids = self.ids.take(take, axis=0).ravel()
-            best = int(dists.argmin())
-        dmin = float(dists[best])
-        self._slot = int(take[best // width]) * width + best % width
-        return dmin, sorted(set(ids[dists <= dmin + tie_tol].tolist()))
+        The rows that fail the cell test, those near their cell's faces,
+        take one face pass, at most `_BOUNDS_PER_PASS` leaf bounds at a
+        time: `bounds` bounds every other leaf against each row.  The leaf
+        with the smallest bound usually holds a far nearer point than the
+        start leaf when the query has jumped, so its minimum plus `tie_tol`,
+        when smaller, lowers the row's limit to its reach.  Either minimum
+        is the distance of a point of the cloud, so the reach still bounds
+        the cloud's minimum and all of its ties, and one `_dists` call
+        measures every other leaf whose bound does not exceed it.
 
-    def search_many(self, queries: np.ndarray, expect: np.ndarray,
-                    tie_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Whether each row of `queries` has the point of original index
-        `expect[j]` as its one nearest point, decided from that point's leaf.
-
-        Returns `(hit, dmin, slot)`.  Every row's distances to the points of
-        its expected point's leaf come from one `_dists` call on the gathered
-        `(k, width, d)` block, with the leaf's minimum `dmin[j]` at slot
-        `slot[j]`.  `hit[j]` needs every slot of that leaf within `tie_tol`
-        of the minimum to hold `expect[j]`, and no point of another leaf
-        within the row's limit `dmin[j] + tie_tol`; `search` keeps every
-        point at a distance `<=` that limit, so it returns `dmin[j]` and
-        `[expect[j]]`, bit for bit.  The leaf passing `search`'s cell test
-        for row j proves the second part at once.  The rows that fail only
-        the cell test, those near their cell's faces, are settled in
-        passes of at most `_BOUNDS_PER_PASS` leaf bounds: `bounds` bounds
-        every leaf against each row of the pass, and one `_dists` call
-        measures every other leaf whose bound does not exceed the row's
-        limit; the row hits when each of those distances exceeds it.  A
-        row that does not hit is undecided, not refuted: a point stored
-        twice never hits, yet `project` deduplicates it to one answer.
-        The remembered slot is left alone.
+        `blocks` lists the measured `(rows, leaf, dists)`: `dists[i]` holds
+        the distances from row `rows[i]` to the points of leaf `leaf[i]`,
+        the start leaves first, then one block per face pass.  Every point
+        within `tie_tol` of a row's minimum is in its blocks.  `lone[j]`
+        says that the point at `slot[j]` is the only one within the row's
+        limit, every other slot of the start leaf within it a top-up repeat
+        of that point: the cloud then has it as the one nearest point, at
+        distance `dmin[j]`, bit for bit a full scan's.  A reach below the
+        limit leaves some leaves within the limit unmeasured, but then the
+        nearest leaf holds a point nearer than `dmin[j]`, so the row is
+        not lone either way.
         """
         k = len(queries)
         width = self.ids.shape[1]
-        leaves = self.leaf_of[expect]
         dists = _dists(self.points.take(leaves, axis=0), queries[:, None])
         best = dists.argmin(axis=1)
         dmin = dists[np.arange(k), best]
         limit = dmin + tie_tol
-        # every slot within the limit holds `expect`: the top-up repeats of
-        # a leaf's final point are that one point
-        lone = ((dists > limit[:, None]) | (self.ids[leaves] == expect[:, None])).all(axis=1)
-        gap = np.minimum((queries - self.cell_lo.take(leaves, axis=0)).min(axis=1),
-                         (self.cell_hi.take(leaves, axis=0) - queries).min(axis=1))
-        hit = (np.sqrt(gap * gap) > limit) & lone
-        rows = np.flatnonzero(lone & ~hit)
-        hit[rows] = True
+        slot = leaves * width + best
+        lone = ((dists > limit[:, None])
+                | (self.ids[leaves] == self.ids.flat[slot][:, None])).all(axis=1)
+        gap = np.minimum(queries - self.cell_lo.take(leaves, axis=0),
+                         self.cell_hi.take(leaves, axis=0) - queries).min(axis=1)
+        face = np.flatnonzero(np.sqrt(gap * gap) <= limit)
+        blocks = [(np.arange(k), leaves, dists)]
         step = max(1, _BOUNDS_PER_PASS // self.lo.shape[1])
-        for start in range(0, rows.size, step):
-            part = rows[start:start + step]
+        for start in range(0, face.size, step):
+            part = face[start:start + step]
             at = queries[part]
             bound = self.bounds(at, at)
-            bound[np.arange(part.size), leaves[part]] = np.inf  # the row's own leaf
-            row, near = np.nonzero(bound <= limit[part, None])
-            far = _dists(self.points.take(near, axis=0), at[row, None]) > limit[part[row], None]
-            hit[part[row[~far.all(axis=1)]]] = False
-        return hit, dmin, leaves * width + best
+            bound[np.arange(part.size), leaves[part]] = np.inf
+            near = self.points.take(bound.argmin(axis=1), axis=0)
+            reach = np.minimum(limit[part], _dists(near, at[:, None]).min(axis=1) + tie_tol)
+            row, other = np.nonzero(bound <= reach[:, None])
+            row = part[row]
+            dists = _dists(self.points.take(other, axis=0), queries[row, None])
+            lone[row[(dists <= limit[row, None]).any(axis=1)]] = False
+            blocks.append((row, other, dists))
+        return dmin, slot, lone, blocks
 
     def bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """A lower bound on the distance from the box [lo, hi] to each leaf.
@@ -619,7 +585,14 @@ class PointCloud(ProjectorSpec):
         return _CloudIndex(self.points)
 
     def _nearest(self, q, tie_tol):
-        dmin, near = self._index.search(q, tie_tol)
+        index = self._index
+        width = index.ids.shape[1]
+        blocks = index.search(q[None], np.array([index._slot // width]), tie_tol)[3]
+        _, leaf, dists = map(np.concatenate, zip(*blocks))
+        best = int(dists.argmin())
+        dmin = float(dists.flat[best])
+        index._slot = int(leaf[best // width]) * width + best % width
+        near = sorted(set(index.ids[leaf][dists <= dmin + tie_tol].tolist()))
         return ProjectionResult(dmin, _dedupe([self.points[i].copy() for i in near], tie_tol))
 
     def _last_index(self, p: np.ndarray) -> int:
@@ -663,11 +636,13 @@ def _confirm(spec: ProjectorSpec, cloud: PointCloud, queries: np.ndarray,
     """How many leading rows of `queries` have as their projection onto
     `spec` the one point `cloud.points[expect[j]]`, bit for bit.
 
-    `spec` is `cloud` or a union with `cloud` as a member.  A row counts
-    when the cloud's `search_many` hits it, a row near its cell's faces
-    included; in a union, every other member's distance must also exceed
-    the cloud's minimum plus `tie_tol`, so that the union answers with the
-    cloud's one point.  Each member gives its distances for the whole batch
+    `spec` is `cloud` or a union with `cloud` as a member.  The cloud's
+    `search` starts each row from its expected point's leaf, and the row
+    counts when that leaf's nearest point is the expected one and `lone`, a
+    row near its cell's faces included; in a union, every other member's
+    distance must also exceed the cloud's minimum plus `tie_tol`, so that
+    the union answers with the cloud's one point.  Each member gives its
+    distances for the whole batch
     from `_distances`, bit for bit its `_nearest(q, tie_tol).distance` row
     by row.  So a counted row is exactly what `project` returns:
     single-valued, and the expected point.  The count stops at the first
@@ -676,7 +651,8 @@ def _confirm(spec: ProjectorSpec, cloud: PointCloud, queries: np.ndarray,
     time.  The cloud remembers the slot of the last counted row.
     """
     index = cloud._index
-    hit, dmin, slot = index.search_many(queries, expect, tie_tol)
+    dmin, slot, hit, _ = index.search(queries, index.leaf_of[expect], tie_tol)
+    hit &= index.ids.flat[slot] == expect
     if spec is not cloud:
         limit = dmin + tie_tol
         for m in spec.members:

@@ -655,7 +655,7 @@ def test_face_test_holds_where_squares_are_subnormal():
     # One leaf holds -b, the other b, both at the computed distance
     # sqrt(b * b) from the origin, which is below b once b * b is
     # subnormal.  A face test on the bare gap b would answer from the
-    # first leaf alone and lose the tie, in `search` and in `search_many`.
+    # first leaf alone and lose the tie, for one query and for a batch.
     b = 1e-160
     assert math.sqrt(b * b) < b * (1.0 - 8.0 * np.finfo(np.float64).eps)
     far = np.linspace(1.0, 2.0, LEAF_SIZE - 1)
@@ -665,9 +665,10 @@ def test_face_test_holds_where_squares_are_subnormal():
     res = cloud.project(q, 1e-300)
     _assert_matches_oracle(res, _oracle([cloud], q, 1e-300))
     assert res.multivalued
-    # the batch cell test must not answer from the first leaf either
-    hit = cloud._index.search_many(q[None], np.array([LEAF_SIZE - 1]), 1e-300)[0]
-    assert not hit[0]
+    # the cell test must not answer from the first leaf either
+    index = cloud._index
+    lone = index.search(q[None], index.leaf_of[[LEAF_SIZE - 1]], 1e-300)[2]
+    assert not lone[0]
 
 
 @given(kind=st.sampled_from([Sphere, Ball]), dim=st.integers(1, 4),
@@ -701,43 +702,57 @@ def test_distances_are_distance_row_by_row(kind, dim, scale, seed):
         assert dist == expected and math.copysign(1.0, dist) == 1.0
 
 
+def _search_is_the_scan(index, pts, queries, leaves, tol):
+    """Check each row of `search` against the brute-force scan of `pts`:
+    its blocks give the scan's minimum and ties, the start leaf's minimum
+    lies at `slot`, and `lone` is set exactly when that point is the scan's
+    only one within the limit.  Returns `lone` and the rows of the blocks."""
+    k, width = len(queries), index.ids.shape[1]
+    dmin, slot, lone, blocks = index.search(queries, leaves, tol)
+    np.testing.assert_array_equal(blocks[0][0], np.arange(k))  # the start leaves first
+    np.testing.assert_array_equal(blocks[0][1], leaves)
+    rows, leaf, dists = map(np.concatenate, zip(*blocks))
+    for j, q in enumerate(queries):
+        d = np.sqrt(((pts - q) ** 2).sum(axis=1))
+        mine = dists[rows == j]
+        ids = index.ids[leaf[rows == j]]
+        assert mine.min() == d.min()
+        np.testing.assert_array_equal(np.unique(ids[mine <= mine.min() + tol]),
+                                      np.flatnonzero(d <= d.min() + tol))
+        assert slot[j] // width == leaves[j]
+        assert dmin[j] == d[index.ids[leaves[j]]].min() == d[index.ids.flat[slot[j]]]
+        alone = np.flatnonzero(d <= dmin[j] + tol).tolist() == [index.ids.flat[slot[j]]]
+        assert lone[j] == alone
+    return lone, rows
+
+
 @given(dim=st.integers(1, 4), n=st.integers(1, 5 * LEAF_SIZE),
        seed=st.integers(0, 2**32 - 1),
        layout=st.sampled_from(["generic", "curve", "stacks", "grid"]),
        tol=st.sampled_from([1e-12, 1e-9, 1e-3, 0.3]))
 @settings(max_examples=150, deadline=None)
-def test_search_many_hits_only_what_search_returns(dim, n, seed, layout, tol):
-    # Rows are queries near cloud points, each expecting its own point or a
-    # random one; a hit must be exactly `search`'s answer, and the batch is
-    # not vacuous: a query on a lone point of a generic cloud hits.
+def test_search_matches_the_scan(dim, n, seed, layout, tol):
+    # Rows are queries near cloud points, each started from its own point's
+    # leaf or a random one; every answer must be the scan's, and the test
+    # is not vacuous: a query on a lone point of a generic cloud is lone.
     rng = np.random.default_rng(seed)
     pts = _cloud_layout(layout, rng, n, dim)
     index = PointCloud(pts)._index
     k = int(rng.integers(1, 40))
     own = rng.integers(0, n, size=k)
     queries = pts[own] + rng.normal(size=(k, dim)) * rng.choice([0.0, 1e-3, 0.3], size=(k, 1))
-    expect = np.where(rng.random(k) < 0.7, own, rng.integers(0, n, size=k))
-    hit, dmin, slot = index.search_many(queries, expect, tol)
-    for j in range(k):
-        if hit[j]:
-            assert index.search(queries[j], tol) == (dmin[j], [expect[j]])
-            assert index.ids.flat[slot[j]] == expect[j]
+    leaves = np.where(rng.random(k) < 0.7, index.leaf_of[own],
+                      rng.integers(0, len(index.ids), size=k))
+    _search_is_the_scan(index, pts, queries, leaves, tol)
     if layout in ("generic", "curve") and tol < 1e-3:
-        on_point = np.flatnonzero(expect == own)
-        exact = index.search_many(pts[expect[on_point]], expect[on_point], tol)[0]
-        assert exact.any() or on_point.size == 0
+        assert _search_is_the_scan(index, pts, pts[own], index.leaf_of[own], tol)[0].any()
     # Rows on and one ulp inside a face of their leaf's cell fail the cell
-    # test.  The batch measures the neighbouring leaves instead, so a row
-    # hits exactly when `search` answers its expected point alone, at the
-    # same slot; on a generic cloud of three or more leaves some do.
+    # test, so the search measures the neighbouring leaves; on a generic
+    # cloud of three or more leaves some of those rows are lone.
     queries, expect = _face_rows(index, pts)
-    hit, dmin, slot = index.search_many(queries, expect, tol)
-    for j in range(len(queries)):
-        alone = index.search(queries[j], tol) == (dmin[j], [expect[j]])
-        assert hit[j] == alone
-        assert index._slot == slot[j] or not alone
+    lone, rows = _search_is_the_scan(index, pts, queries, index.leaf_of[expect], tol)
     if layout == "generic" and dim >= 2 and n > 2 * LEAF_SIZE and tol < 1e-3:
-        assert hit.any()
+        assert lone.any() and rows.size > len(queries)
 
 
 def _face_rows(index, pts):
@@ -759,24 +774,52 @@ def _face_rows(index, pts):
     return np.array(rows).reshape(-1, pts.shape[1]), np.array(expect, dtype=np.intp)
 
 
-def test_search_many_keeps_a_tie_at_exactly_the_limit():
+def test_search_keeps_a_tie_at_exactly_the_limit():
     # Two leaves cut on x, every sum exact: the origin is 0.25 from the
     # point p = (-0.25, 0) and, across the face x = 0.1875, 0.3125 from
     # r = (0.1875, 0.25).  With tie_tol 0.0625 r lies exactly at the limit
-    # 0.3125, where `search` keeps it as a tie, so the row must not hit;
+    # 0.3125, where a projection keeps it as a tie, so the row is not lone;
     # with a smaller tie_tol p is alone, and the row, which fails the cell
-    # test, hits without a scalar search.
+    # test, is lone from its own face pass.
     left = np.stack([-0.25 - np.arange(LEAF_SIZE)[::-1], np.zeros(LEAF_SIZE)], axis=1)
     right = np.stack([2.0 + np.arange(LEAF_SIZE - 1), np.zeros(LEAF_SIZE - 1)], axis=1)
     index = PointCloud(np.concatenate([left, [[0.1875, 0.25]], right]))._index
     p, r, q = LEAF_SIZE - 1, LEAF_SIZE, np.zeros((1, 2))
-    assert index.cell_hi[index.leaf_of[p]].tolist() == [0.1875, math.inf]
-    assert index.search(q[0], 0.0625) == (0.25, [p, r])
-    assert not index.search_many(q, np.array([p]), 0.0625)[0][0]
+    start = index.leaf_of[[p]]
+    assert index.cell_hi[start[0]].tolist() == [0.1875, math.inf]
+    assert _ties(index, q, start, 0.0625) == (0.25, [p, r])
+    assert not index.search(q, start, 0.0625)[2][0]
     tol = 0.0625 - 2.0**-10
-    assert index.search(q[0], tol) == (0.25, [p])
-    hit, dmin, _ = index.search_many(q, np.array([p]), tol)
-    assert hit[0] and dmin[0] == 0.25
+    assert _ties(index, q, start, tol) == (0.25, [p])
+    dmin, _, lone, _ = index.search(q, start, tol)
+    assert lone[0] and dmin[0] == 0.25
+
+
+def _ties(index, q, leaves, tol):
+    """The minimum over the one row's blocks and the sorted indices of the
+    points within `tol` of it."""
+    _, leaf, dists = map(np.concatenate, zip(*index.search(q, leaves, tol)[3]))
+    dmin = float(dists.min())
+    return dmin, np.unique(index.ids[leaf][dists <= dmin + tol]).tolist()
+
+
+def test_a_projection_is_one_search_of_one_row(report_300, monkeypatch):
+    # A cloud has one search, and a projection is a batch of one: one call
+    # with a (1, d) query array.
+    assert not hasattr(euclid._CloudIndex, "search_many")
+    cloud = PointCloud(report_300.points[0::2])
+    shapes = []
+    search = euclid._CloudIndex.search
+
+    def spying(self, queries, leaves, tie_tol):
+        shapes.append(queries.shape)
+        return search(self, queries, leaves, tie_tol)
+
+    monkeypatch.setattr(euclid._CloudIndex, "search", spying)
+    for q in report_300.points[1:40:2]:
+        shapes.clear()
+        cloud.project(q, 1e-11)
+        assert shapes == [(1, 2)]
 
 
 @given(dim=st.integers(1, 4), n=st.integers(1, 9 * LEAF_SIZE), seed=st.integers(0, 2**32 - 1),
@@ -806,7 +849,7 @@ def test_incoherent_queries_visit_few_leaves(report_100k, monkeypatch):
 
     def counting(points, q):
         nonlocal rows
-        rows += len(points)
+        rows += points[..., 0].size
         return dists(points, q)
 
     monkeypatch.setattr(euclid, "_dists", counting)
@@ -815,10 +858,10 @@ def test_incoherent_queries_visit_few_leaves(report_100k, monkeypatch):
     assert rows <= len(queries) * 4 * LEAF_SIZE
 
 
-#: The broadcast shapes `_sq_dists` is called with: a leaf against one query
-#: (`search`, `_dists`), a gathered batch block against its queries
-#: (`search_many`), every pair of a tail (`map_driver._diameter`), and
-#: candidates against a block of queries (`sequence.verify_nearest`).
+#: The broadcast shapes `_sq_dists` is called with: rows against one point
+#: (`_Round._distances`), a gathered block of leaves against its queries
+#: (`_CloudIndex.search`), every pair of a tail (`map_driver._diameter`),
+#: and candidates against a block of queries (`sequence.verify_nearest`).
 _SQ_SHAPES = {
     "rows": lambda d: ((9, d), (d,)),
     "batch": lambda d: ((5, 7, d), (5, 1, d)),
@@ -882,8 +925,8 @@ def test_every_cloud_distance_is_sq_dists(report_300, monkeypatch):
     cloud = PointCloud(report_300.points[0::2])
     queries = report_300.points[1:9:2]
     assert reaches(lambda: cloud.project(queries[0], 1e-11))
-    expect = np.arange(1, 5)
-    assert reaches(lambda: cloud._index.search_many(queries, expect, 1e-11))
+    leaves = cloud._index.leaf_of[np.arange(1, 5)]
+    assert reaches(lambda: cloud._index.search(queries, leaves, 1e-11))
     assert reaches(lambda: sequence.verify_nearest(report_300, 299))
     sets = counterexample.build(300, report=report_300)
     config = map_driver.MapConfig(sets.set_a, sets.set_b, report_300.points[0],

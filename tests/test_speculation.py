@@ -351,18 +351,18 @@ def test_confirmed_batches_do_no_row_by_row_work(monkeypatch, caplog):
 @pytest.mark.parametrize("horizon", [2001, 10_001])
 def test_rows_near_a_cell_face_stay_in_the_batch(horizon, monkeypatch, caplog):
     # A batch row that fails only the cell test is settled by the batch's
-    # own pass over the neighbouring leaves.  A scalar search is left only
+    # own pass over the neighbouring leaves.  A one-row search is left only
     # for each `_step` projection, two per pair.  Sending those rows to a
-    # scalar search took 88 searches at horizon 2 001 and 448 at 10 001.
+    # one-row search took 88 searches at horizon 2 001 and 448 at 10 001.
     searches = 0
-    search = euclid._CloudIndex.search
+    nearest = euclid.PointCloud._nearest
 
-    def counting_search(self, q, tie_tol):
+    def counting_nearest(self, q, tie_tol):
         nonlocal searches
         searches += 1
-        return search(self, q, tie_tol)
+        return nearest(self, q, tie_tol)
 
-    monkeypatch.setattr(euclid._CloudIndex, "search", counting_search)
+    monkeypatch.setattr(euclid.PointCloud, "_nearest", counting_nearest)
     sets = counterexample.build(horizon)
     with caplog.at_level(logging.DEBUG, logger=map_driver.log.name):
         trace = counterexample.run_corollary(sets, counterexample.max_safe_pairs(horizon))
