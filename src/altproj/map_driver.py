@@ -20,16 +20,13 @@ answer of a cloud is a stored point, so when both sets are a cloud, or a
 union with one cloud member, the next answers can be predicted: each
 set's last cloud index plus its last index stride (value prediction,
 Lipasti, Wilkerson and Shen, ASPLOS 1996, in the predict-and-correct shape
-of parareal).  A batch projects all predicted queries of each set at once
-and keeps the longest prefix of pairs whose answers are single-valued and
-bitwise the predictions.  Each query of that prefix is then the query the
-sequential run would have made, and its answer is exactly what `project`
-returns for it, so the rows, the step norms and the stop rule see the
-same bits.  A confirmed batch stays one block of rows: `_dists` gives both
-of its step-norm columns, the stop rule finds its first small pair in one
-pass, and the trace takes the block whole.  `_dists` of a row is `_norm`
-of its difference bit for bit, and `_step` pairs keep `_norm`, so the two
-paths agree.  A multivalued, degenerate or mispredicted answer is never
+of parareal).  `run` is one loop, and each pass of it either confirms a
+batch of predicted pairs or takes one pair from `_step`.  A confirmed
+batch stays one block of rows: `_dists` gives both of its step-norm
+columns, the stop rule finds its first small pair in one pass, and the
+trace takes the block whole.  `_dists` of a row is `_norm` of its
+difference bit for bit, and `_step` pairs keep `_norm`, so the two paths
+agree.  A multivalued, degenerate or mispredicted answer is never
 accepted: that pair goes through `_step`, the one place where tie policy,
 events and projection errors are handled.  Sets without a cloud are
 projected one `_step` at a time.
@@ -225,33 +222,37 @@ def _walk(spec: ProjectorSpec) -> Optional[_Walk]:
     return None
 
 
-def _pairs(config: MapConfig, events: list, batches: list):
-    """The MAP pairs (a_n, b_n) for n < max_iter, exactly as `_step` gives
-    them: a `_step` pair as two 1-D rows, a confirmed batch as two `(m, d)`
-    blocks.
+def run(config: MapConfig) -> MapTrace:
+    """Alternate projections from config.start until the stop rule or the budget.
 
-    When both sets have a walk with a stride, the next k answers of each
-    are predicted as the last index plus 1..k strides, and `_confirm`
-    projects all k A-queries (b_{n-1}, then the predicted b's) and the
-    B-queries (the predicted a's) in one batch per set.  A confirmed answer
-    is single-valued and bitwise the prediction, so the pairs up to the
-    first unconfirmed one are the sequential pairs; that one goes through
-    `_step`.  k doubles after a full batch, up to `_BATCH_MAX` = 256: a
-    batch with a query near a cell face pays one `bounds` pass over every
-    leaf, so larger batches pay fewer passes, while at 1024 the batch's own
-    arrays cost more time than the passes they save.  After a
-    miss, batches wait until a `_step` answer of each set repeats its last
-    stride, then start again at k = 1: a walk whose stride keeps changing
-    would otherwise pay a failed batch for every pair.  `batches[0]`
-    counts the batches.
+    One loop owns the run: the last answer `b`, the pair count `n`, the
+    batch size and the stop rule.  Each pass either confirms a batch of
+    predicted pairs or takes one pair from `_step`.  When both sets have a
+    walk with a stride, the next k answers of each are predicted as the
+    last index plus 1..k strides, and `_confirm` projects all k A-queries
+    (b_{n-1}, then the predicted b's) and the B-queries (the predicted a's)
+    in one batch per set.  A confirmed answer is single-valued and bitwise
+    the prediction, so the pairs up to the first unconfirmed one are the
+    sequential pairs; that one goes through `_step`.  k doubles after a
+    full batch, up to `_BATCH_MAX` = 256: a batch with a query near a cell
+    face pays one `bounds` pass over every leaf, so larger batches pay
+    fewer passes, while at 1024 the batch's own arrays cost more time than
+    the passes they save.  After a miss, batches wait until a `_step`
+    answer of each set repeats its last stride, then start again at k = 1:
+    a walk whose stride keeps changing would otherwise pay a failed batch
+    for every pair.
     """
-    set_a, set_b, tol = config.set_a, config.set_b, config.tie_tol
+    set_a, set_b, tol, stop = config.set_a, config.set_b, config.tie_tol, config.stop_step
     walk_a = _walk(set_a)
     walk_b = walk_a and _walk(set_b)
     speculate = walk_b is not None
+    a_rows, b_rows, step_ab, step_ba, events = [], [], [], [], []
+    columns = (a_rows, b_rows, step_ab, step_ba)
+    blocks = []  # the trace in parts: each run of `_step` rows as arrays, each block
     b = config.start
-    n = 0
+    n = kept = batches = 0
     size = 1 if speculate else 0
+    stopped = False
     while n < config.max_iter:
         if size == 0 and speculate and min(walk_a.held, walk_b.held) >= _HOLD:
             size = 1
@@ -261,14 +262,30 @@ def _pairs(config: MapConfig, events: list, batches: list):
             ia = walk_a.last + walk_a.stride * steps
             ib = walk_b.last + walk_b.stride * steps
             pa, pb = walk_a.cloud.points[ia], walk_b.cloud.points[ib]
-            m = euclid._confirm(set_a, walk_a.cloud, np.vstack((b, pb[:-1])), ia, tol)
+            queries = np.vstack((b, pb[:-1]))
+            m = euclid._confirm(set_a, walk_a.cloud, queries, ia, tol)
             if m:
                 m = euclid._confirm(set_b, walk_b.cloud, pa[:m], ib[:m], tol)
-            batches[0] += 1
+            batches += 1
             if m:
-                yield pa[:m], pb[:m]
-                n += m
+                # A walk learns its stride from two `_step` pairs, so a batch
+                # starts at pair 2 or later and each d_in enters `step_ba`.
+                d_in = euclid._dists(pa[:m], queries[:m])
+                d_ab = euclid._dists(pb[:m], pa[:m])
+                if stop > 0.0:
+                    small = np.flatnonzero((d_in < stop) & (d_ab < stop))
+                    if small.size:
+                        m, stopped = int(small[0]) + 1, True
+                if a_rows:
+                    blocks.append(tuple(map(np.array, columns)))
+                    for rows in columns:
+                        rows.clear()
+                blocks.append((pa[:m], pb[:m], d_ab[:m], d_in[:m]))
                 b = pb[m - 1]
+                n += m
+                kept += m
+                if stopped:
+                    break
                 walk_a.last, walk_b.last = int(ia[m - 1]), int(ib[m - 1])
             if m == k:
                 size = min(2 * size, _BATCH_MAX)
@@ -277,59 +294,22 @@ def _pairs(config: MapConfig, events: list, batches: list):
         a = _step(set_a, b, "A", n, config, events)
         if speculate:
             walk_a.learn(a)
+        d_in = euclid._norm(a - b)
+        if n >= 1:
+            step_ba.append(d_in)
         b = _step(set_b, a, "B", n, config, events)
         if speculate:
             walk_b.learn(b)
-        yield a, b
+        d_ab = euclid._norm(b - a)
+        step_ab.append(d_ab)
+        a_rows.append(a)
+        b_rows.append(b)
         n += 1
-
-
-def run(config: MapConfig) -> MapTrace:
-    """Alternate projections from config.start until the stop rule or the budget."""
-    a_rows, b_rows, step_ab, step_ba, events = [], [], [], [], []
-    columns = (a_rows, b_rows, step_ab, step_ba)
-    blocks = []  # the trace in parts: each run of `_step` rows as arrays, each block
-    batches = [0]
-    n = kept = 0
-    b = config.start
-    stop = config.stop_step
-    stopped = False
-    for a, b_next in _pairs(config, events, batches):
-        if a.ndim == 1:
-            d_in = euclid._norm(a - b)
-            if n >= 1:
-                step_ba.append(d_in)
-            b = b_next
-            d_ab = euclid._norm(b - a)
-            step_ab.append(d_ab)
-            a_rows.append(a)
-            b_rows.append(b)
-            n += 1
-            if stop > 0.0 and d_in < stop and d_ab < stop:
-                stopped = True
-                break
-            continue
-        # `_dists` of a row is `_norm` of its difference, bit for bit
-        d_in = euclid._dists(a, np.vstack((b, b_next[:-1])))
-        d_ab = euclid._dists(b_next, a)
-        if stop > 0.0:
-            small = np.flatnonzero((d_in < stop) & (d_ab < stop))
-            if small.size:
-                m = int(small[0]) + 1
-                a, b_next, d_in, d_ab = a[:m], b_next[:m], d_in[:m], d_ab[:m]
-                stopped = True
-        if a_rows:
-            blocks.append(tuple(map(np.array, columns)))
-            for rows in columns:
-                rows.clear()
-        blocks.append((a, b_next, d_ab, d_in if n >= 1 else d_in[1:]))
-        b = b_next[-1]
-        n += len(a)
-        kept += len(a)
-        if stopped:
+        if stop > 0.0 and d_in < stop and d_ab < stop:
+            stopped = True
             break
     log.debug("MAP run: %d speculative batches gave %d pairs, _step gave %d",
-              batches[0], kept, n - kept)
+              batches, kept, n - kept)
     # Stacked once at the stop: rows preallocated by max_iter would cost
     # max_iter rows even for a run that stops after a few.
     if a_rows:

@@ -274,6 +274,25 @@ def test_point_stored_twice_inside_a_batch(policy, caplog):
     assert run(config).a[12].tobytes() == a[12].tobytes()
 
 
+@pytest.mark.parametrize("shared", ["same-cloud", "union-holds-b"])
+def test_cloud_shared_by_both_walks(shared, caplog):
+    # Both walks read the one cloud's remembered slot, which every
+    # projection onto either set moves.  Each b_n lies in A, so the walks
+    # stand still with stride 0 and batches follow; a start between grid
+    # points ties at pair 0.
+    rng = np.random.default_rng(11)
+    cloud = PointCloud(rng.integers(-4, 5, size=(60, 2)) * 0.5)  # duplicates and ties
+    set_a = cloud if shared == "same-cloud" else Union([cloud, Sphere(np.zeros(2), 1.1)])
+    batches = 0
+    for start in [[0.25, 0.25], [0.3, -1.0], *rng.normal(size=(6, 2)) * 3.0]:
+        for policy in (TIE_LOWEST_INDEX, TIE_ERROR):
+            config = MapConfig(set_a, cloud, start, max_iter=40, stop_step=0.0,
+                               tie_policy=policy)
+            _, counts = _check(config, caplog)
+            batches += counts[0] if counts else 0
+    assert batches > 0
+
+
 def test_mispredicted_walks_batch_rarely(report_10k, caplog):
     # Random neighbour swaps in storage order give strides +1, +2 and -1,
     # so most predictions miss.  After a miss a batch waits for steady

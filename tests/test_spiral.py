@@ -67,6 +67,45 @@ DETOUR_ROOTS = {
 }
 
 
+# Iterates of `alpha_chain(0, 20000)` where the libm of glibc 2.36, which
+# the artifact digests were recorded with, does not round `exp(-a)`,
+# `exp(-(a + 2 pi))`, `cos a` or `sin a` correctly: the function, the
+# iterate, the angle a, libm's value and the correctly rounded value, as
+# `float.hex`.  The rounded values were computed with mpmath at 160 and 240
+# bits, which agree, and which put every exact value far from a rounding
+# midpoint.
+LIBM_FINGERPRINT = [
+    ("exp", 228, "0x1.2d617597300f6p+2", "0x1.275792424dc78p-7", "0x1.275792424dc79p-7"),
+    ("exp", 901, "0x1.8663541fdf28ap+2", "0x1.2608430517ae7p-9", "0x1.2608430517ae8p-9"),
+    ("exp", 8927, "0x1.0cd160c224e3ap+3", "0x1.d751477dac99dp-13", "0x1.d751477dac99ep-13"),
+    ("exp", 11074, "0x1.13b8ad6c2fe69p+3", "0x1.7bdb9d7472c07p-13", "0x1.7bdb9d7472c06p-13"),
+    ("exp", 18757, "0x1.2498c0c8c713ep+3", "0x1.c05b926d1d89cp-14", "0x1.c05b926d1d89bp-14"),
+    ("exp2pi", 2134, "0x1.bddaa21b4b8eap+2", "0x1.d8b3dd80ffcaep-20", "0x1.d8b3dd80ffcafp-20"),
+    ("exp2pi", 4470, "0x1.ed4d48f78cf5cp+2", "0x1.c2727a779ea51p-21", "0x1.c2727a779ea50p-21"),
+    ("exp2pi", 7777, "0x1.08664ffef36adp+3", "0x1.02ae339934ec3p-21", "0x1.02ae339934ec2p-21"),
+    ("exp2pi", 13697, "0x1.1a878e41938d3p+3", "0x1.2596ee4e66189p-22", "0x1.2596ee4e66188p-22"),
+    ("exp2pi", 19641, "0x1.26123a19706e8p+3", "0x1.99622bbe59649p-23", "0x1.99622bbe59648p-23"),
+    ("cos", 3260, "0x1.d90df8dc0e1f2p+2", "0x1.c8e61b69bc910p-2", "0x1.c8e61b69bc911p-2"),
+    ("cos", 4505, "0x1.edcd51f31ea92p+2", "0x1.1a6307b8fddd6p-3", "0x1.1a6307b8fddd7p-3"),
+    ("cos", 6961, "0x1.04d914d8093efp+3", "-0x1.2c2eeb89a7308p-2", "-0x1.2c2eeb89a7309p-2"),
+    ("cos", 11982, "0x1.163ed1f73b55dp+3", "-0x1.7da9a04e508b2p-1", "-0x1.7da9a04e508b3p-1"),
+    ("cos", 17663, "0x1.22ac2997f4213p+3", "-0x1.e2797a02a272cp-1", "-0x1.e2797a02a272bp-1"),
+    ("sin", 803, "0x1.7ef6ddf813cebp+2", "-0x1.2dfe7e0cf6194p-2", "-0x1.2dfe7e0cf6195p-2"),
+    ("sin", 2349, "0x1.c404c1a4475cbp+2", "0x1.67ef6d304c4b8p-1", "0x1.67ef6d304c4b7p-1"),
+    ("sin", 6886, "0x1.0480381d1e6bdp+3", "0x1.eb1b0cb139604p-1", "0x1.eb1b0cb139605p-1"),
+    ("sin", 12234, "0x1.16e977b60a014p+3", "0x1.4d43acbc218e6p-1", "0x1.4d43acbc218e5p-1"),
+    ("sin", 19710, "0x1.262ef8b2383bbp+3", "0x1.d5f9fdd3ee04cp-3", "0x1.d5f9fdd3ee04bp-3"),
+]
+
+# each fingerprint function as `spiral.columns` evaluates it at angle a
+_LIBM_CALLS = {
+    "exp": lambda a: math.exp(-a),
+    "exp2pi": lambda a: math.exp(-(a + TWO_PI)),
+    "cos": math.cos,
+    "sin": math.sin,
+}
+
+
 def test_rho_examples():
     assert rho(0.0) == 2.0
     assert rho(50.0) == pytest.approx(1.0, abs=1e-20)
@@ -141,6 +180,22 @@ def test_columns_equal_scalar_functions():
             assert rhos[i] == r
             assert epss[i] == (r - (1.0 + math.exp(-(a + TWO_PI)))) / 2.0
             np.testing.assert_array_equal(points[i], [r * math.cos(a), r * math.sin(a)])
+
+
+def test_libm_fingerprint():
+    # The curve columns take exp, cos and sin from libm, so these values fix
+    # the C library that the recorded artifact digests were made with.
+    moved = []
+    for name, n, alpha, libm, rounded in LIBM_FINGERPRINT:
+        libm, rounded = float.fromhex(libm), float.fromhex(rounded)
+        assert math.nextafter(libm, rounded) == rounded  # one step from the exact value
+        got = _LIBM_CALLS[name](float.fromhex(alpha))
+        if got != libm:
+            moved.append(f"{name} at iterate {n}: {got.hex()}, recorded {libm.hex()}")
+    assert not moved, (
+        "libm rounds differently from the glibc 2.36 libm the artifacts were recorded with, so the "
+        "`gen`, `export-sets` and run trace digests in test_artifacts.py will move: "
+        + "; ".join(moved))
 
 
 def test_chord_sq_zero_at_origin_and_right_angle():

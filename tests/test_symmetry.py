@@ -19,16 +19,19 @@ _REL_IDS = [rel.name for rel in RELATIONS]
 
 
 @pytest.fixture(scope="module")
-def counterexample_run():
-    sets = counterexample.build(2001)
-    config = counterexample.make_config(sets, counterexample.max_safe_pairs(2001), 1e-6)
+def counterexample_run(request):
+    # at horizon 10 001 the run's 5 000 pairs come mostly in full 256-row batches
+    sets = counterexample.build(request.param)
+    config = counterexample.make_config(sets, counterexample.max_safe_pairs(request.param), 1e-6)
     return config, map_driver.run(config)
 
 
-@pytest.mark.parametrize("rel", RELATIONS, ids=_REL_IDS)
+@pytest.mark.parametrize(
+    "counterexample_run, rel", [(h, rel) for h in (2001, 10_001) for rel in RELATIONS],
+    ids=_REL_IDS + [f"10001-{name}" for name in _REL_IDS], indirect=["counterexample_run"])
 def test_counterexample_run_maps_exactly(counterexample_run, rel):
     config, trace = counterexample_run
-    assert len(trace.a) == 1000
+    assert len(trace.a) == config.max_iter
     assert_related(trace, map_driver.run(relate(config, rel)), rel)
 
 
