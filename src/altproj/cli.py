@@ -123,7 +123,8 @@ def _cmd_union_batch(args) -> int:
 def _cmd_export_sets(args) -> int:
     sets = counterexample.build(args.horizon, args.variant)
     pairs = args.pairs or counterexample.max_safe_pairs(args.horizon)
-    config = counterexample.make_config(sets, pairs, args.stop_step)
+    stop = counterexample.export_stop_step(sets) if args.stop_step is None else args.stop_step
+    config = counterexample.make_config(sets, pairs, stop)
     with _open_out(args.out) as out:
         dump_json(map_driver.config_to_dict(config), out)
         out.write("\n")
@@ -205,7 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_int_at_least(0), default=0,
                    help="projection pairs to run (default: largest safe count)")
     p.add_argument("--stop-step", type=_checked(float, lambda step: 0.0 <= step < math.inf,
-                                                "finite and >= 0"), default=1e-6)
+                                                "finite and >= 0"), default=None,
+                   help="stop a run once both steps of a pair fall below this (default: "
+                        "min(1e-6, eps[horizon - 1] / 2), below every step of the run)")
     p.add_argument("--out", default="-", help="config JSON output path")
     p.set_defaults(func=_cmd_export_sets)
     return parser

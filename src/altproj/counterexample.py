@@ -37,6 +37,7 @@ __all__ = [
     "VARIANT_DISK",
     "VARIANT_SPHERE",
     "build",
+    "export_stop_step",
     "make_config",
     "max_safe_pairs",
     "run_corollary",
@@ -89,6 +90,13 @@ def build(horizon: int, variant: str = VARIANT_SPHERE,
 def max_safe_pairs(horizon: int) -> int:
     """Largest pair count that keeps a run two indices clear of the truncation edge."""
     return (_integer("horizon", horizon) - 1) // 2
+
+
+def export_stop_step(sets: CounterexampleSets) -> float:
+    """`export-sets`' default stop step, min(1e-6, eps[horizon - 1] / 2): below
+    every step of a run on the sets, each an eps of an earlier iterate, so
+    the run can walk to the truncation edge; 1e-6 up to horizon 500 018."""
+    return min(1e-6, 0.5 * float(sets.report.epss[sets.horizon - 1]))
 
 
 def tie_tolerance(sets: CounterexampleSets) -> float:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -237,10 +237,11 @@ def run(config: MapConfig) -> MapTrace:
     full batch, up to `_BATCH_MAX` = 256: a batch with a query near a cell
     face pays one `bounds` pass over every leaf, so larger batches pay
     fewer passes, while at 1024 the batch's own arrays cost more time than
-    the passes they save.  After a miss, batches wait until a `_step`
-    answer of each set repeats its last stride, then start again at k = 1:
-    a walk whose stride keeps changing would otherwise pay a failed batch
-    for every pair.
+    the passes they save.  A miss restarts the wait: batches wait until
+    `_HOLD` `_step` answers of each set, counted again from 0, repeat its
+    last stride, then start again at k = 1.  A walk whose stride keeps
+    changing, or whose next answer `_confirm` cannot settle, would
+    otherwise pay a failed batch for every pair.
     """
     set_a, set_b, tol, stop = config.set_a, config.set_b, config.tie_tol, config.stop_step
     walk_a = _walk(set_a)
@@ -290,7 +291,7 @@ def run(config: MapConfig) -> MapTrace:
             if m == k:
                 size = min(2 * size, _BATCH_MAX)
                 continue
-            size = 0
+            size = walk_a.held = walk_b.held = 0
         a = _step(set_a, b, "A", n, config, events)
         if speculate:
             walk_a.learn(a)
@@ -359,19 +360,14 @@ def max_circular_gap(angles) -> float:
 
 
 def config_to_dict(config: MapConfig) -> dict:
-    return {
-        "A": config.set_a.to_dict(),
-        "B": config.set_b.to_dict(),
-        "start": config.start,
-        "max_iter": config.max_iter,
-        "stop_step": config.stop_step,
-        "tie_policy": config.tie_policy,
-        "tie_tol": config.tie_tol,
-    }
+    """The config document: every MapConfig field in its order, the sets
+    as "A" and "B" in their `to_dict` form."""
+    doc = {f.name: getattr(config, f.name) for f in fields(MapConfig)}
+    return {"A": doc.pop("set_a").to_dict(), "B": doc.pop("set_b").to_dict(), **doc}
 
 
 #: The optional config fields; an absent one takes the MapConfig default.
-_OPTIONS = ("max_iter", "stop_step", "tie_policy", "tie_tol")
+_OPTIONS = tuple(f.name for f in fields(MapConfig) if f.default is not MISSING)
 
 
 def config_from_dict(data) -> MapConfig:

@@ -5,11 +5,11 @@ binary64 exactly and are byte-stable across runs.  `fmt17` renders one
 value and `render_json` one indented document, such as a run config or a
 trace; `dump_json` writes the same text to a stream a piece at a time, as
 `export-sets` writes its config, so no large array is held as one string.
-Tables of floats -- the `gen` table and every array of a document, such as
-the point clouds of an exported config -- are rendered by `_rows` a block
-at a time: `_format` gives each value of a block the bytes of `'%.17g' % v`
-with numpy, and each row is assembled from its fields and its literal
-separators.
+Tables of floats -- the `gen` table, every array of a document and the SVG
+figure's points and circles -- are rendered by `_rows` a block at a time,
+all but the `gen` table through `_table`: `_format` gives each value the
+bytes of `'%.17g' % v` with numpy, and each row is assembled from its
+fields and its literal separators.
 """
 
 from __future__ import annotations
@@ -227,18 +227,23 @@ def _rows(fields: np.ndarray, pieces) -> str:
     return data.translate(None, b"\0").decode()
 
 
+def _table(fields: np.ndarray, pieces, end: str):
+    """The text of `_rows(fields, pieces)`, with `end` in place of the last
+    row's final piece, in blocks of about `_BLOCK` values."""
+    c, m = fields.shape
+    step = max(1, _BLOCK // c)
+    for i in range(0, m, step):
+        block = _rows(fields[:, i:i + step], pieces)
+        yield block if i + step < m else block[:len(block) - len(pieces[-1])] + end
+
+
 def _array(obj: np.ndarray):
     """The text of a nonempty float64 array of one or two axes in pieces:
     its brackets and its rows, about `_BLOCK` values at a time."""
     fields = obj.reshape(len(obj), -1).T
-    c, m = fields.shape
-    pieces = ("", ", ") if obj.ndim == 1 else ("[", *[", "] * (c - 1), "], ")
-    step = max(1, _BLOCK // c)
+    pieces = ("", ", ") if obj.ndim == 1 else ("[", *[", "] * (len(fields) - 1), "], ")
     yield "["
-    for i in range(0, m, step):
-        block = _rows(fields[:, i:i + step], pieces)
-        yield block if i + step < m else block[:-2]  # no separator after the last item
-    yield "]"
+    yield from _table(fields, pieces, "]" * obj.ndim)  # the last row closes the array
 
 
 def _pieces(obj, indent: int):

@@ -7,7 +7,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import pytest
 
-from altproj import euclid, sequence
+from altproj import euclid, sequence, spiral
+from altproj.figure import CURVE_SAMPLES, SVG_SIZE
 from altproj.euclid import (_BOUND_SLACK, DEFAULT_TIE_TOL, Ball, Box, DimensionMismatch, Halfspace,
                             PointCloud, Segment, Sphere, Union, _as_cloud, as_point)
 from altproj.finite_union import ConvergenceVerdict, classify
@@ -142,6 +143,41 @@ def render_json_oracle(obj, _indent: int = 0) -> str:
         )
         return "".join(("{\n", inner, "\n", pad, "}"))  # copies `inner` once, not twice
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def render_spiral_svg_oracle(report: sequence.SequenceReport) -> str:
+    """The SVG writer one value at a time, each through `fmt17`:
+    `figure.render_spiral_svg` must write the same bytes, and raise the same
+    ValueError for a non-finite value (read as a Python float, as `fmt17`
+    names it)."""
+    pts = report.points.tolist()
+    epss = report.epss.tolist()
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="-2.7 -2.7 5.4 5.4">',
+        '<g transform="scale(1,-1)">',
+        '<circle class="unit-circle" cx="0" cy="0" r="1" fill="none" '
+        'stroke="#999999" stroke-width="0.01"/>',
+    ]
+    _, _, curve_pts = spiral.columns(np.linspace(0.0, float(report.alphas[-1]), CURVE_SAMPLES))
+    coords = " ".join(f"{fmt17(x)},{fmt17(y)}" for x, y in curve_pts.tolist())
+    parts.append(
+        f'<polyline class="spiral" fill="none" stroke="#222222" '
+        f'stroke-width="0.012" points="{coords}"/>'
+    )
+    for (x, y), e in zip(pts, epss):
+        parts.append(
+            f'<circle class="step-radius" cx="{fmt17(x)}" cy="{fmt17(y)}" '
+            f'r="{fmt17(e)}" fill="none" stroke="#2a7fff" stroke-width="0.006"/>'
+        )
+    for x, y in pts:
+        parts.append(
+            f'<circle class="iterate" cx="{fmt17(x)}" cy="{fmt17(y)}" '
+            f'r="0.025" fill="#d62728"/>'
+        )
+    parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def as_lists(obj):

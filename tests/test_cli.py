@@ -549,6 +549,14 @@ def test_export_sets_writes_the_list_oracle_bytes(tmp_path, variant, horizon, pa
     assert out.read_text() == expected
 
 
+def test_export_sets_takes_its_default_stop_step_from_the_rule(tmp_path, monkeypatch):
+    monkeypatch.setattr(counterexample, "export_stop_step", lambda sets: 0.125)
+    out = tmp_path / "sets.json"
+    for flags, stop_step in (([], 0.125), (["--stop-step", "0.5"], 0.5)):
+        assert main(["export-sets", "--horizon", "101", "--out", str(out), *flags]) == EXIT_OK
+        assert json.loads(out.read_text())["stop_step"] == stop_step
+
+
 @pytest.mark.parametrize("variant", [counterexample.VARIANT_SPHERE, counterexample.VARIANT_DISK])
 def test_dump_json_of_one_point_clouds_is_the_list_oracle(variant):
     # horizon 2 leaves one point per cloud and no safe pair, so `export-sets`

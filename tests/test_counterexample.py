@@ -10,13 +10,15 @@ from altproj.counterexample import (
     CorollaryViolated,
     CounterexampleSets,
     build,
+    export_stop_step,
     make_config,
     max_safe_pairs,
     run_corollary,
     tie_tolerance,
 )
 from altproj.euclid import DEFAULT_TIE_TOL, Ball, PointCloud, Sphere, Union
-from altproj.map_driver import MapConfig
+from altproj.map_driver import VERDICT_CONTINUUM, VERDICT_CONVERGED, MapConfig
+from altproj.sequence import SequenceReport
 from conftest import distance
 
 
@@ -87,6 +89,23 @@ def test_tie_tolerance_separates_successor_from_predecessor(report_100k):
     assert not res.multivalued
     np.testing.assert_array_equal(res.candidates[0], pts[31637])
     assert tie_tolerance(build(300, report=report_100k)) == DEFAULT_TIE_TOL
+
+
+def test_export_stop_step_lies_below_every_step(report_10k):
+    assert export_stop_step(build(2001, report=report_10k)) == 1e-6
+    # scaled by 2**-20, every step of the horizon-2 001 run lies below 1e-6
+    # (the default before the rule), which stops the run after one pair;
+    # the rule's eps[2000] / 2, about 2.4e-10, lets it walk to the edge
+    s = 2.0 ** -20
+    r = report_10k
+    sets = build(2001, report=SequenceReport(r.alphas, r.rhos * s, r.epss * s, r.points * s))
+    stop = export_stop_step(sets)
+    assert stop == 0.5 * float(sets.report.epss[2000])
+    trace = run_corollary(sets, max_safe_pairs(2001), stop)
+    assert trace.verdict.kind == VERDICT_CONTINUUM and trace.verdict.iterations_used == 1000
+    assert min(trace.step_ab.min(), trace.step_ba.min()) > stop
+    trace = run_corollary(sets, max_safe_pairs(2001), 1e-6)
+    assert trace.verdict.kind == VERDICT_CONVERGED and trace.verdict.iterations_used == 1
 
 
 def test_run_corollary_respects_truncation_margin(report_300):

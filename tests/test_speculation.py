@@ -293,6 +293,21 @@ def test_cloud_shared_by_both_walks(shared, caplog):
     assert batches > 0
 
 
+@pytest.mark.parametrize("policy", [TIE_LOWEST_INDEX, TIE_ERROR])
+def test_a_miss_restarts_the_wait(policy, caplog):
+    # From (0.3, -1.0) on the shared grid both walks stand still on
+    # (0, -1.5), stored twice, an answer `_confirm` never settles: every
+    # batch misses.
+    # A miss counts the wait for steady strides again from 0: with the
+    # counts left standing, a batch was tried before 35 of the 40 pairs.
+    rng = np.random.default_rng(11)
+    cloud = PointCloud(rng.integers(-4, 5, size=(60, 2)) * 0.5)
+    config = MapConfig(cloud, cloud, [0.3, -1.0], max_iter=40, stop_step=0.0,
+                       tie_policy=policy)
+    _, (batches, speculated, stepped) = _check(config, caplog)
+    assert speculated == 0 and stepped == 40 and 1 <= batches <= 10
+
+
 def test_mispredicted_walks_batch_rarely(report_10k, caplog):
     # Random neighbour swaps in storage order give strides +1, +2 and -1,
     # so most predictions miss.  After a miss a batch waits for steady

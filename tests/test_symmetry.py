@@ -11,8 +11,9 @@ any size.  It holds because every norm and inner product adds in axis order.
 import numpy as np
 import pytest
 
-from altproj import counterexample, finite_union, map_driver
+from altproj import counterexample, finite_union, map_driver, sequence
 from altproj.euclid import Ball, Box, Halfspace, PointCloud, Segment, Sphere, Union
+from altproj.sequence import NearestPropertyViolated, SequenceReport
 from conftest import RELATIONS, assert_related, relate
 
 _REL_IDS = [rel.name for rel in RELATIONS]
@@ -70,3 +71,43 @@ def test_ties_map_exactly(rel):
     trace = map_driver.run(config)
     assert len(trace.multivalued_events) > 50
     assert_related(trace, map_driver.run(relate(config, rel)), rel)
+
+
+# A report's points and lengths carried through a relation leave the
+# nearest-point check's verdict as it was and scale its margin, whose
+# runner-up term is the scaled distance to the predecessor.  The 2**30
+# scale is left out: the unit sphere's distance exp(-alpha) does not scale,
+# so the scaled successor lies farther than the sphere and the sphere rule
+# rejects the report.
+_REPORT_RELATIONS = [rel for rel in RELATIONS if rel.name != "scale-2^30"]
+
+
+def _relate_report(report: SequenceReport, rel) -> SequenceReport:
+    return SequenceReport(report.alphas, report.rhos * rel.scale, report.epss * rel.scale,
+                          rel.forward(report.points))
+
+
+@pytest.fixture(scope="module")
+def report_20k():
+    return sequence.generate(20_001)
+
+
+@pytest.mark.parametrize("rel", _REPORT_RELATIONS, ids=[rel.name for rel in _REPORT_RELATIONS])
+def test_nearest_margin_maps_exactly(report_20k, rel):
+    margin = sequence.verify_nearest(report_20k, 20_000)
+    image = sequence.verify_nearest(_relate_report(report_20k, rel), 20_000)
+    assert (image / rel.scale).hex() == margin.hex()
+
+
+@pytest.mark.parametrize("rel", _REPORT_RELATIONS, ids=[rel.name for rel in _REPORT_RELATIONS])
+def test_nearest_violation_maps_exactly(report_20k, rel):
+    pts = report_20k.points.copy()
+    pts[[700, 9000]] = pts[[9000, 700]]
+    r = report_20k
+    perturbed = SequenceReport(r.alphas, r.rhos, r.epss, pts)
+    with pytest.raises(NearestPropertyViolated) as want:
+        sequence.verify_nearest(perturbed, 20_000)
+    with pytest.raises(NearestPropertyViolated) as got:
+        sequence.verify_nearest(_relate_report(perturbed, rel), 20_000)
+    assert (got.value.n, got.value.found) == (want.value.n, want.value.found)
+    assert str(got.value) == str(want.value)
